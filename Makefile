@@ -16,14 +16,14 @@ ifeq ($(COVER),1)
 TESTFLAGS += -coverprofile=coverage.out -covermode=atomic
 endif
 
-.PHONY: all check build vet staticcheck staticcheck-strict test test-race race bench bench-check sync-gate scenario-smoke scenario-full fuzz fuzz-smoke eval examples docs-check clean
+.PHONY: all check build vet staticcheck staticcheck-strict test test-race race bench bench-check benchmark-smoke sync-gate scenario-smoke scenario-full fuzz fuzz-smoke eval examples docs-check clean
 
 all: build vet test test-race
 
 # The default gate: compile, lint, docs, tests, perf regression, the
-# smoke slice of the scenario matrix, and a short fuzz smoke over the
-# wire decoder and the scenario-spec parser.
-check: build vet staticcheck docs-check test bench-check scenario-smoke fuzz-smoke
+# nested benchmark module, the smoke slice of the scenario matrix, and a
+# short fuzz smoke over the wire decoder and the scenario-spec parser.
+check: build vet staticcheck docs-check test bench-check benchmark-smoke scenario-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -60,7 +60,7 @@ test:
 # fan-out, rate-extrapolating clocks, and the pooled record paths hammer
 # shared state.
 test-race:
-	$(GO) test -race ./internal/exs ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
+	$(GO) test -race ./internal/exs ./internal/uplink ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
 
 # Full suite under the race detector (slower).
 race:
@@ -82,6 +82,13 @@ bench:
 bench-check:
 	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)
+
+# The repository benchmark (benchmark/, run by benchmark/run.sh) is its
+# own module, so `go build ./...` and `go test ./...` never see it: vet
+# and test it here, or a refactor of the packages it imports breaks it
+# unnoticed.
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Probe-efficiency gate: the model-based sync scheduler must hit the E6
 # skew bounds at ≥5× fewer probe RTTs than fixed cadence on both the

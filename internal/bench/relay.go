@@ -2,16 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"net"
-	"runtime"
-	"sync"
 	"time"
 
 	"brisk/internal/ism"
 	"brisk/internal/ols"
-	"brisk/internal/record"
 	"brisk/internal/relay"
-	"brisk/internal/wire"
 )
 
 // RunRelayIngest is the federated counterpart of RunIngest: `sessions`
@@ -26,31 +21,11 @@ func RunRelayIngest(sessions, perSession, batchRecords int) (IngestResult, error
 	if sessions <= 0 {
 		sessions = 1
 	}
-	if perSession <= 0 {
-		perSession = 150_000
-	}
-	if batchRecords <= 0 {
-		batchRecords = 256
-	}
-	batches := perSession / batchRecords
-	if batches == 0 {
-		batches = 1
-	}
-	perSession = batches * batchRecords
-	total := sessions * perSession
-
-	root, err := ism.New(ism.Config{
-		Addr:              "127.0.0.1:0",
-		MergeInterval:     time.Millisecond,
-		BufferRecords:     1 << 16,
-		Sorter:            ols.Config{InitialT: 100},
-		HeartbeatInterval: -1,
-		Logf:              quiet,
-	})
+	f := newFlood(perSession, batchRecords)
+	root, err := floodSink(nil)
 	if err != nil {
 		return IngestResult{}, err
 	}
-	root.Start()
 	defer root.Close()
 
 	rl, err := relay.New(relay.Config{
@@ -63,7 +38,7 @@ func RunRelayIngest(sessions, perSession, batchRecords int) (IngestResult, error
 			Sorter:            ols.Config{InitialT: 100},
 			HeartbeatInterval: -1,
 		},
-		BatchRecords:  batchRecords,
+		BatchRecords:  f.batchRecords,
 		FlushInterval: time.Millisecond,
 		Logf:          quiet,
 	})
@@ -71,95 +46,12 @@ func RunRelayIngest(sessions, perSession, batchRecords int) (IngestResult, error
 		return IngestResult{}, err
 	}
 	defer rl.Close()
-
-	ts := time.Now().UnixMicro() - 10_000_000
-	var payload []byte
-	for i := 0; i < batchRecords; i++ {
-		rec := record.New(1,
-			record.TSVal(ts),
-			record.I32Val(int32(i)), record.I32Val(2), record.I32Val(3),
-			record.I32Val(4), record.I32Val(5), record.I32Val(6))
-		payload, err = rec.Append(payload)
-		if err != nil {
-			return IngestResult{}, err
-		}
-	}
-
-	conns := make([]*wire.Conn, sessions)
-	for i := range conns {
-		raw, err := net.Dial("tcp", rl.Addr())
-		if err != nil {
-			return IngestResult{}, err
-		}
-		defer raw.Close()
-		wc := wire.NewConn(raw)
-		if err := wc.Send(&wire.Hello{Version: wire.ProtocolVersion, Name: "bench"}); err != nil {
-			return IngestResult{}, err
-		}
-		if _, err := wc.Recv(); err != nil {
-			return IngestResult{}, fmt.Errorf("bench: relay hello ack: %w", err)
-		}
-		conns[i] = wc
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	errs := make(chan error, sessions)
-	var wg sync.WaitGroup
-	for _, wc := range conns {
-		wg.Add(1)
-		go func(wc *wire.Conn) {
-			defer wg.Done()
-			b := &wire.DataBatch{Count: uint32(batchRecords), Payload: payload}
-			for i := 0; i < batches; i++ {
-				if err := wc.Send(b); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(wc)
-	}
-	wg.Wait()
-	deadline := time.Now().Add(120 * time.Second)
-	for int(root.Stats().Emitted) < total && time.Now().Before(deadline) {
-		time.Sleep(200 * time.Microsecond)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	select {
-	case err := <-errs:
-		return IngestResult{}, err
-	default:
-	}
-	st := root.Stats()
-	if int(st.Emitted) < total {
-		return IngestResult{}, fmt.Errorf("bench: root emitted %d of %d through the relay", st.Emitted, total)
-	}
-	return IngestResult{
-		Name:            fmt.Sprintf("relay/sessions=%d", sessions),
-		Sessions:        sessions,
-		Records:         total,
-		ElapsedMicros:   elapsed.Microseconds(),
-		RecordsPerSec:   float64(total) / elapsed.Seconds(),
-		MBPerSec:        float64(st.BytesIn) / 1e6 / elapsed.Seconds(),
-		AllocsPerRecord: float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
-	}, nil
+	return f.run(fmt.Sprintf("relay/sessions=%d", sessions), sessions, sessions, rl.Addr(), root)
 }
 
 // RelayTable renders the relay-hop rows next to nothing else: the
 // interesting comparison (direct ingest at the same session count) lives
 // in the ingest table above it.
 func RelayTable(rows []IngestResult) *Table {
-	t := &Table{
-		Title:  "relay: leaf→relay→root federated delivery vs session count",
-		Header: []string{"sessions", "records", "elapsed", "records/s", "MB/s", "allocs/record"},
-	}
-	for _, r := range rows {
-		t.Add(r.Sessions, r.Records,
-			(time.Duration(r.ElapsedMicros) * time.Microsecond).Round(time.Millisecond),
-			r.RecordsPerSec, r.MBPerSec, r.AllocsPerRecord)
-	}
-	return t
+	return floodTable("relay: leaf→relay→root federated delivery vs session count", "sessions", rows)
 }

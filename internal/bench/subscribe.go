@@ -3,16 +3,9 @@ package bench
 import (
 	"context"
 	"fmt"
-	"net"
-	"runtime"
 	"sync"
-	"time"
 
-	"brisk/internal/ism"
-	"brisk/internal/ols"
-	"brisk/internal/record"
 	"brisk/internal/subscribe"
-	"brisk/internal/wire"
 )
 
 // RunSubscribeIngest reruns the ingest benchmark with the subscription
@@ -26,35 +19,13 @@ func RunSubscribeIngest(subscribers, perSession, batchRecords int) (IngestResult
 	if subscribers < 0 {
 		subscribers = 0
 	}
-	if perSession <= 0 {
-		perSession = 150_000
-	}
-	if batchRecords <= 0 {
-		batchRecords = 256
-	}
-	batches := perSession / batchRecords
-	if batches == 0 {
-		batches = 1
-	}
-	perSession = batches * batchRecords
-	total := perSession
-
 	eng := subscribe.New(subscribe.Config{WindowBytes: 8 << 20})
 	defer eng.Close()
 
-	m, err := ism.New(ism.Config{
-		Addr:              "127.0.0.1:0",
-		MergeInterval:     time.Millisecond,
-		BufferRecords:     1 << 16,
-		Sorter:            ols.Config{InitialT: 100},
-		HeartbeatInterval: -1,
-		Tap:               eng,
-		Logf:              quiet,
-	})
+	m, err := floodSink(eng)
 	if err != nil {
 		return IngestResult{}, err
 	}
-	m.Start()
 	defer m.Close()
 
 	// The workload emits event class 1 only; the idle readers subscribe
@@ -84,61 +55,8 @@ func RunSubscribeIngest(subscribers, perSession, batchRecords int) (IngestResult
 		}(sub)
 	}
 
-	ts := time.Now().UnixMicro() - 10_000_000
-	var payload []byte
-	for i := 0; i < batchRecords; i++ {
-		rec := record.New(1,
-			record.TSVal(ts),
-			record.I32Val(int32(i)), record.I32Val(2), record.I32Val(3),
-			record.I32Val(4), record.I32Val(5), record.I32Val(6))
-		payload, err = rec.Append(payload)
-		if err != nil {
-			return IngestResult{}, err
-		}
-	}
-
-	raw, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		return IngestResult{}, err
-	}
-	defer raw.Close()
-	wc := wire.NewConn(raw)
-	if err := wc.Send(&wire.Hello{Version: wire.ProtocolVersion, Name: "bench"}); err != nil {
-		return IngestResult{}, err
-	}
-	if _, err := wc.Recv(); err != nil {
-		return IngestResult{}, fmt.Errorf("bench: hello ack: %w", err)
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	b := &wire.DataBatch{Count: uint32(batchRecords), Payload: payload}
-	for i := 0; i < batches; i++ {
-		if err := wc.Send(b); err != nil {
-			return IngestResult{}, err
-		}
-	}
-	deadline := time.Now().Add(120 * time.Second)
-	for int(m.Stats().Emitted) < total && time.Now().Before(deadline) {
-		time.Sleep(200 * time.Microsecond)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	st := m.Stats()
-	if int(st.Emitted) < total {
-		return IngestResult{}, fmt.Errorf("bench: manager emitted %d of %d with %d subscribers", st.Emitted, total, subscribers)
-	}
-	return IngestResult{
-		Name:            fmt.Sprintf("subscribe/subscribers=%d", subscribers),
-		Sessions:        subscribers,
-		Records:         total,
-		ElapsedMicros:   elapsed.Microseconds(),
-		RecordsPerSec:   float64(total) / elapsed.Seconds(),
-		MBPerSec:        float64(st.BytesIn) / 1e6 / elapsed.Seconds(),
-		AllocsPerRecord: float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
-	}, nil
+	return newFlood(perSession, batchRecords).run(
+		fmt.Sprintf("subscribe/subscribers=%d", subscribers), subscribers, 1, m.Addr(), m)
 }
 
 // RunSubscribeSuite runs the tapped-ingest benchmark at each subscriber
@@ -162,14 +80,5 @@ func RunSubscribeSuite(subCounts []int, perSession, batchRecords int) ([]IngestR
 // SubscribeTable renders the suite; the subscribers=0 row is the
 // tap-attached baseline the others are read against.
 func SubscribeTable(rows []IngestResult) *Table {
-	t := &Table{
-		Title:  "subscribe: ingest capacity vs idle subscriber count (tap attached)",
-		Header: []string{"subscribers", "records", "elapsed", "records/s", "MB/s", "allocs/record"},
-	}
-	for _, r := range rows {
-		t.Add(r.Sessions, r.Records,
-			(time.Duration(r.ElapsedMicros) * time.Microsecond).Round(time.Millisecond),
-			r.RecordsPerSec, r.MBPerSec, r.AllocsPerRecord)
-	}
-	return t
+	return floodTable("subscribe: ingest capacity vs idle subscriber count (tap attached)", "subscribers", rows)
 }

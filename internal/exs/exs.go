@@ -19,35 +19,31 @@
 //
 // # Fault tolerance
 //
-// The manager link is treated as lossy. Every shipped batch carries a
-// per-session sequence number and is retained in a bounded in-memory
-// queue until the manager acknowledges it. When the connection breaks the
-// sensor keeps draining the shm rings into that queue (so the application
-// never blocks) and reconnects with exponential backoff plus jitter; on
-// resume the manager reports the last sequence it accepted, acknowledged
-// batches are released, and the remainder replayed — the manager dedupes
-// anything that was in flight, giving exactly-once delivery to the sinks.
-// If the queue overflows, the oldest batches are dropped and counted
-// (Stats.Dropped); if the retry cap is exhausted the sensor degrades to
-// drain-and-discard (Stats.LostOffline) so the node never wedges.
+// The manager link is treated as lossy, and surviving it is delegated to
+// the shared sender in internal/uplink: every shipped batch is sequence-
+// numbered and retained in a bounded queue until the manager acknowledges
+// it; a broken connection is redialed with exponential backoff plus
+// jitter while the sensor keeps draining the shm rings into that queue
+// (so the application never blocks); on resume the acknowledged prefix is
+// released and the remainder replayed, the manager deduping anything that
+// was in flight. If the queue overflows, the oldest batches are dropped
+// and counted (Stats.Dropped); if the retry cap is exhausted the sensor
+// degrades to drain-and-discard (Stats.LostOffline) so the node never
+// wedges. This package keeps what is the sensor's own: ring collection,
+// timestamp patching, batching, flush widening under withheld credit, and
+// the loss markers that testify to every drop it observed.
 package exs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"log"
-	mrand "math/rand"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"brisk/internal/metrics"
 	"brisk/internal/record"
 	"brisk/internal/shm"
+	"brisk/internal/uplink"
 	"brisk/internal/vclock"
 	"brisk/internal/wire"
 )
@@ -59,10 +55,6 @@ const (
 	stageRingDrain = iota
 	stageWireSend
 )
-
-// DefaultReconnectAttempts is the reconnect cap used when
-// Config.MaxReconnectAttempts is zero.
-const DefaultReconnectAttempts = 20
 
 // Config configures an external sensor.
 type Config struct {
@@ -93,11 +85,9 @@ type Config struct {
 	// ReconnectBase is the first backoff delay after a lost manager
 	// connection; it doubles per failed attempt. Default 50 ms.
 	ReconnectBase time.Duration
-	// ReconnectMax caps the exponential backoff. Default 5 s.
+	// ReconnectMax caps the exponential backoff (each delay carries ±20%
+	// jitter). Default 5 s.
 	ReconnectMax time.Duration
-	// ReconnectJitter is the ± fraction of uniform jitter applied to
-	// every backoff delay (0.2 = ±20%). Default 0.2; negative disables.
-	ReconnectJitter float64
 	// ReconnectRand, when non-nil, is the [0,1) source the reconnect
 	// jitter is drawn from, called only on the reconnector goroutine.
 	// Injectable so backoff schedules are deterministic under test; nil
@@ -105,8 +95,7 @@ type Config struct {
 	ReconnectRand func() float64
 	// MaxReconnectAttempts caps consecutive failed reconnect attempts
 	// per outage before the sensor gives up and degrades to
-	// drain-and-discard. 0 means DefaultReconnectAttempts; negative
-	// means retry forever.
+	// drain-and-discard. 0 means 20; negative means retry forever.
 	MaxReconnectAttempts int
 	// SpillBytes bounds the in-memory retransmit/spill queue holding
 	// unacknowledged and offline batches. When exceeded, the oldest
@@ -182,93 +171,28 @@ type Stats struct {
 	MarkedLost  uint64
 }
 
-// Connection states.
-const (
-	stateOnline int32 = iota
-	stateReconnecting
-	stateDead
-)
-
-// qEntry is one batch retained until the manager acknowledges it.
-type qEntry struct {
-	seq      uint64
-	count    int
-	payload  []byte
-	sent     bool // written to the current connection
-	everSent bool // written to some connection at least once
-}
-
 // EXS is one running external sensor. Create with Dial or DialContext,
 // stop with Close.
 type EXS struct {
 	cfg   Config
 	clock *vclock.Corrected
-	logf  func(string, ...any)
-
-	session uint64
-	ctx     context.Context
-	cancel  context.CancelFunc
-
-	connMu sync.Mutex
-	conn   *wire.Conn // nil while disconnected
-	raw    net.Conn
-	node   atomic.Int32
-
-	state       atomic.Int32
-	reconnectCh chan struct{}
-
-	// qMu guards the retransmit queue; pump holds it across sends so
-	// replayed and fresh batches stay sequence-ordered on the wire.
-	qMu     sync.Mutex
-	queue   []qEntry
-	qBytes  int
-	nextSeq uint64
-	// Credit flow control (qMu): the manager's latest window grant and
-	// the records currently in flight (sent, unacknowledged) against it.
-	// creditOn is false until the manager grants a nonzero window — a
-	// zero window on the wire means flow control is disabled.
-	creditOn bool
-	creditW  int64
-	inflight int64
-	stalled  bool // last pump paused on exhausted credit
-	// Pending loss accumulator (qMu): records this sensor dropped (ring
-	// overruns, spill evictions) not yet represented by a shipped
-	// loss-marker record, with the covered timestamp range.
-	pendingLossN     uint64
-	pendingLossFirst int64
-	pendingLossLast  int64
-	// freeBufs recycles acked batch payloads back into enqueue, so a
-	// steadily-acked stream stops allocating copies. Bounded; see
-	// maxFreeBufs.
-	freeBufs [][]byte
+	up    *uplink.Sender
 
 	// Counters live in the metrics registry; the Stats snapshot is a
-	// typed view over them.
-	reg          *metrics.Registry
-	tracer       *metrics.StageTracer // nil when tracing is disabled
-	sent         *metrics.Counter
-	batches      *metrics.Counter
-	probes       *metrics.Counter
-	adjusts      *metrics.Counter
-	reconnects   *metrics.Counter
-	retransmits  *metrics.Counter
-	spilled      *metrics.Counter
-	dropped      *metrics.Counter
-	lostOffline  *metrics.Counter
-	creditStalls *metrics.Counter
-	lossMarkers  *metrics.Counter
-	markedLost   *metrics.Counter
-	drainPauseH  *metrics.Histogram
-	bytesOutBase atomic.Uint64 // BytesOut of finished connections
-
-	jitterRand func() float64 // jitter source; reconnector-goroutine only
+	// typed view over them. link holds the series the sender advances.
+	reg         *metrics.Registry
+	tracer      *metrics.StageTracer // nil when tracing is disabled
+	link        uplink.Counters
+	spilled     *metrics.Counter
+	lostOffline *metrics.Counter
+	lossMarkers *metrics.Counter
+	markedLost  *metrics.Counter
+	drainPauseH *metrics.Histogram
 
 	mergeTS []int64 // per-ring head-TS scratch; drain-goroutine only
 
 	done     chan struct{}
 	wgDrain  sync.WaitGroup
-	wgCtl    sync.WaitGroup // control loops + reconnector
-	closed   atomic.Bool
 	flushNow chan struct{}
 }
 
@@ -304,104 +228,74 @@ func DialContext(ctx context.Context, cfg Config) (*EXS, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Microsecond
 	}
-	if cfg.ReconnectBase <= 0 {
-		cfg.ReconnectBase = 50 * time.Millisecond
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 5 * time.Second
-	}
-	if cfg.ReconnectJitter == 0 {
-		cfg.ReconnectJitter = 0.2
-	} else if cfg.ReconnectJitter < 0 {
-		cfg.ReconnectJitter = 0
-	}
-	if cfg.MaxReconnectAttempts == 0 {
-		cfg.MaxReconnectAttempts = DefaultReconnectAttempts
-	}
 	if cfg.SpillBytes <= 0 {
 		cfg.SpillBytes = 4 << 20
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
 	e := &EXS{
-		cfg:         cfg,
-		clock:       cfg.Clock,
-		logf:        cfg.Logf,
-		session:     newSessionID(),
-		reconnectCh: make(chan struct{}, 1),
-		done:        make(chan struct{}),
-		flushNow:    make(chan struct{}, 1),
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		done:     make(chan struct{}),
+		flushNow: make(chan struct{}, 1),
 	}
 	e.registerMetrics(cfg.Metrics)
-	e.ctx, e.cancel = context.WithCancel(ctx)
-	e.jitterRand = cfg.ReconnectRand
-	if e.jitterRand == nil {
-		e.jitterRand = mrand.New(mrand.NewSource(int64(e.session) ^ time.Now().UnixNano())).Float64
+	ucfg := uplink.Config{
+		Addr:                 cfg.ManagerAddr,
+		Name:                 cfg.NodeName,
+		Tag:                  "exs",
+		Peer:                 "manager",
+		Frame:                wire.MsgData,
+		Clock:                cfg.Clock,
+		QueueBytes:           cfg.SpillBytes,
+		DialTimeout:          cfg.DialTimeout,
+		ReconnectBase:        cfg.ReconnectBase,
+		ReconnectMax:         cfg.ReconnectMax,
+		MaxReconnectAttempts: cfg.MaxReconnectAttempts,
+		ReconnectRand:        cfg.ReconnectRand,
+		Logf:                 cfg.Logf,
+		Counters:             e.link,
 	}
-	raw, conn, ack, err := e.connect(false)
+	if e.tracer != nil {
+		ucfg.OnFirstSend = e.traceWireSend
+	}
+	up, err := uplink.Dial(ctx, ucfg)
 	if err != nil {
-		e.cancel()
 		return nil, err
 	}
-	e.raw, e.conn = raw, conn
-	e.node.Store(ack.Node)
-	e.applyWindow(ack.Window)
+	e.up = up
+	e.registerLinkGauges()
 	e.wgDrain.Add(1)
 	go e.drainLoop()
-	e.wgCtl.Add(1)
-	go e.controlLoop(conn)
-	e.wgCtl.Add(1)
-	go e.reconnector()
 	return e, nil
 }
 
-// newSessionID returns a random non-zero session identifier.
-func newSessionID() uint64 {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			// Fall back to the clock; uniqueness only needs to hold per
-			// manager across the retention window.
-			return uint64(time.Now().UnixNano()) | 1
-		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
-}
-
-// registerMetrics creates (or adopts) the registry and binds every
-// external-sensor series: live counters for the event path, func-backed
-// counters and gauges over state owned elsewhere (the rings, the spill
-// queue, the connection), and the pipeline stage tracer.
+// registerMetrics creates (or adopts) the registry and binds the series
+// that need no live link: the event-path counters (the sender advances
+// the ones in e.link), func-backed views of the rings and the clock, and
+// the pipeline stage tracer.
 func (e *EXS) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	e.reg = reg
-	e.sent = reg.Counter(metrics.Desc{Name: "brisk_exs_records_sent_total",
+	e.link.Sent = reg.Counter(metrics.Desc{Name: "brisk_exs_records_sent_total",
 		Help: "records shipped to the manager (first transmission only)", Unit: "records"})
-	e.batches = reg.Counter(metrics.Desc{Name: "brisk_exs_batches_sent_total",
+	e.link.Batches = reg.Counter(metrics.Desc{Name: "brisk_exs_batches_sent_total",
 		Help: "data-batch frames written, including retransmits", Unit: "batches"})
-	e.probes = reg.Counter(metrics.Desc{Name: "brisk_exs_clock_probes_total",
+	e.link.Probes = reg.Counter(metrics.Desc{Name: "brisk_exs_clock_probes_total",
 		Help: "clock-synchronization probes answered", Unit: "probes"})
-	e.adjusts = reg.Counter(metrics.Desc{Name: "brisk_exs_clock_adjusts_total",
+	e.link.Adjusts = reg.Counter(metrics.Desc{Name: "brisk_exs_clock_adjusts_total",
 		Help: "clock adjustments applied", Unit: "adjustments"})
-	e.reconnects = reg.Counter(metrics.Desc{Name: "brisk_exs_reconnects_total",
+	e.link.Reconnects = reg.Counter(metrics.Desc{Name: "brisk_exs_reconnects_total",
 		Help: "successful reconnections to the manager", Unit: "connections"})
-	e.retransmits = reg.Counter(metrics.Desc{Name: "brisk_exs_retransmit_batches_total",
+	e.link.Retransmits = reg.Counter(metrics.Desc{Name: "brisk_exs_retransmit_batches_total",
 		Help: "batches replayed after a session resume", Unit: "batches"})
 	e.spilled = reg.Counter(metrics.Desc{Name: "brisk_exs_spilled_records_total",
 		Help: "records buffered while the manager was unreachable", Unit: "records"})
-	e.dropped = reg.Counter(metrics.Desc{Name: "brisk_exs_dropped_records_total",
+	e.link.Dropped = reg.Counter(metrics.Desc{Name: "brisk_exs_dropped_records_total",
 		Help: "records evicted from the bounded spill queue or discarded at shutdown", Unit: "records"})
 	e.lostOffline = reg.Counter(metrics.Desc{Name: "brisk_exs_lost_offline_records_total",
 		Help: "records discarded after reconnection was abandoned", Unit: "records"})
-	e.creditStalls = reg.Counter(metrics.Desc{Name: "brisk_exs_credit_stalls_total",
+	e.link.CreditStalls = reg.Counter(metrics.Desc{Name: "brisk_exs_credit_stalls_total",
 		Help: "pump passes that paused because the manager's credit window was exhausted", Unit: "stalls"})
 	e.lossMarkers = reg.Counter(metrics.Desc{Name: "brisk_exs_loss_markers_total",
 		Help: "loss-marker records shipped to account for sensor-side drops", Unit: "markers"})
@@ -410,49 +304,12 @@ func (e *EXS) registerMetrics(reg *metrics.Registry) {
 	e.drainPauseH = reg.Histogram(metrics.Desc{Name: "brisk_exs_drain_pause_microseconds",
 		Help: "how long ring collection stayed paused per credit-exhaustion episode",
 		Unit: "microseconds"})
-	reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_credit_window",
-		Help: "the manager's latest credit grant (records in flight allowed); -1 when flow control is disabled",
-		Unit: "records"},
-		func() float64 {
-			e.qMu.Lock()
-			defer e.qMu.Unlock()
-			if !e.creditOn {
-				return -1
-			}
-			return float64(e.creditW)
-		})
 	reg.CounterFunc(metrics.Desc{Name: "brisk_exs_ring_records_written_total",
 		Help: "records accepted by the node's sensor rings", Unit: "records"},
 		func() uint64 { written, _ := e.cfg.Region.Stats(); return written })
 	reg.CounterFunc(metrics.Desc{Name: "brisk_exs_ring_records_dropped_total",
 		Help: "records dropped at the sensor rings (application outran the drain)", Unit: "records"},
 		func() uint64 { _, dropped := e.cfg.Region.Stats(); return dropped })
-	reg.CounterFunc(metrics.Desc{Name: "brisk_exs_wire_bytes_out_total",
-		Help: "wire frame bytes written across all manager connections", Unit: "bytes"},
-		func() uint64 {
-			e.connMu.Lock()
-			var live uint64
-			if e.conn != nil {
-				live = e.conn.BytesOut()
-			}
-			e.connMu.Unlock()
-			return e.bytesOutBase.Load() + live
-		})
-	reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_online",
-		Help: "1 while the manager connection is up, else 0"},
-		func() float64 {
-			if e.state.Load() == stateOnline {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_queue_bytes",
-		Help: "current bytes held in the unacknowledged/spill queue", Unit: "bytes"},
-		func() float64 {
-			e.qMu.Lock()
-			defer e.qMu.Unlock()
-			return float64(e.qBytes)
-		})
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_clock_correction_microseconds",
 		Help: "current clock-correction value", Unit: "microseconds"},
 		func() float64 { return float64(e.clock.Correction()) })
@@ -467,53 +324,38 @@ func (e *EXS) registerMetrics(reg *metrics.Registry) {
 	}
 }
 
+// registerLinkGauges binds the func-backed series that read the sender,
+// once there is one.
+func (e *EXS) registerLinkGauges() {
+	e.reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_credit_window",
+		Help: "the manager's latest credit grant (records in flight allowed); -1 when flow control is disabled",
+		Unit: "records"},
+		func() float64 { return float64(e.up.CreditWindow()) })
+	e.reg.CounterFunc(metrics.Desc{Name: "brisk_exs_wire_bytes_out_total",
+		Help: "wire frame bytes written across all manager connections", Unit: "bytes"},
+		e.up.BytesOut)
+	e.reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_online",
+		Help: "1 while the manager connection is up, else 0"},
+		func() float64 {
+			if e.up.Online() {
+				return 1
+			}
+			return 0
+		})
+	e.reg.GaugeFunc(metrics.Desc{Name: "brisk_exs_queue_bytes",
+		Help: "current bytes held in the unacknowledged/spill queue", Unit: "bytes"},
+		func() float64 { return float64(e.up.QueuedBytes()) })
+}
+
 // Metrics returns the registry holding the sensor's counters, for serving
 // through an introspection endpoint or merging into snapshots.
 func (e *EXS) Metrics() *metrics.Registry { return e.reg }
 
-// connect dials the manager and runs the HELLO exchange, bounded by
-// DialTimeout and the sensor's context.
-func (e *EXS) connect(resume bool) (net.Conn, *wire.Conn, *wire.HelloAck, error) {
-	d := net.Dialer{Timeout: e.cfg.DialTimeout}
-	raw, err := d.DialContext(e.ctx, "tcp", e.cfg.ManagerAddr)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("exs: dial manager: %w", err)
-	}
-	raw.SetDeadline(time.Now().Add(e.cfg.DialTimeout))
-	conn := wire.NewConn(raw)
-	hello := &wire.Hello{
-		Version: wire.ProtocolVersion,
-		Name:    e.cfg.NodeName,
-		Session: e.session,
-		Resume:  resume,
-	}
-	if err := conn.Send(hello); err != nil {
-		raw.Close()
-		return nil, nil, nil, fmt.Errorf("exs: hello: %w", err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		raw.Close()
-		return nil, nil, nil, fmt.Errorf("exs: hello ack: %w", err)
-	}
-	ack, ok := msg.(*wire.HelloAck)
-	if !ok {
-		raw.Close()
-		return nil, nil, nil, fmt.Errorf("exs: expected HELLO_ACK, got %v", msg.Type())
-	}
-	if ack.Version >= wire.MinProtocolVersion && ack.Version <= wire.ProtocolVersion {
-		// Pin the connection to the version the manager negotiated.
-		conn.SetVersion(ack.Version)
-	}
-	raw.SetDeadline(time.Time{})
-	return raw, conn, ack, nil
-}
-
 // Node returns the manager-assigned node id.
-func (e *EXS) Node() int32 { return e.node.Load() }
+func (e *EXS) Node() int32 { return e.up.Node() }
 
 // Session returns the node's resume-session identifier.
-func (e *EXS) Session() uint64 { return e.session }
+func (e *EXS) Session() uint64 { return e.up.Session() }
 
 // Clock returns the node's corrected clock.
 func (e *EXS) Clock() *vclock.Corrected { return e.clock }
@@ -526,415 +368,13 @@ func (e *EXS) Flush() {
 	}
 }
 
-// liveConn returns the current connection, or nil while disconnected.
-func (e *EXS) liveConn() *wire.Conn {
-	e.connMu.Lock()
-	defer e.connMu.Unlock()
-	return e.conn
-}
-
-// maxFreeBufs bounds the recycled-payload free list so a burst of large
-// batches cannot pin their storage forever.
-const maxFreeBufs = 8
-
-// recycleBuf returns an acked or evicted payload's storage to the free
-// list. Caller holds qMu.
-func (e *EXS) recycleBuf(b []byte) {
-	if b != nil && len(e.freeBufs) < maxFreeBufs {
-		e.freeBufs = append(e.freeBufs, b[:0])
-	}
-}
-
-// applyWindow installs a credit grant from a HELLO_ACK or DATA_ACK.
-// Window 0 means the manager runs without flow control.
-func (e *EXS) applyWindow(w uint32) {
-	e.qMu.Lock()
-	if w == 0 {
-		e.creditOn, e.creditW = false, 0
-	} else {
-		e.creditOn, e.creditW = true, int64(w)
-	}
-	e.qMu.Unlock()
-}
-
-// addLoss folds dropped records into the pending loss accumulator; the
-// next shipped batch carries a loss-marker record representing them.
-// Caller holds qMu.
-func (e *EXS) addLossLocked(count uint64, firstTS, lastTS int64) {
-	if count == 0 {
-		return
-	}
-	if e.pendingLossN == 0 {
-		e.pendingLossFirst, e.pendingLossLast = firstTS, lastTS
-	} else {
-		if firstTS < e.pendingLossFirst {
-			e.pendingLossFirst = firstTS
+// traceWireSend is the sender's first-send hook: it samples the age of a
+// batch's first record as it reaches the wire.
+func (e *EXS) traceWireSend(payload []byte) {
+	if e.tracer.ShouldSample(stageWireSend) {
+		if ts, ok := peekFirstTS(payload); ok {
+			e.tracer.Observe(stageWireSend, e.clock.NowMicros()-ts)
 		}
-		if lastTS > e.pendingLossLast {
-			e.pendingLossLast = lastTS
-		}
-	}
-	e.pendingLossN += count
-}
-
-// addLoss is addLossLocked for callers not holding qMu.
-func (e *EXS) addLoss(count uint64, firstTS, lastTS int64) {
-	e.qMu.Lock()
-	e.addLossLocked(count, firstTS, lastTS)
-	e.qMu.Unlock()
-}
-
-// hasPendingLoss reports whether dropped records await a loss marker.
-func (e *EXS) hasPendingLoss() bool {
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	return e.pendingLossN > 0
-}
-
-// takePendingLoss drains the loss accumulator for marker synthesis.
-func (e *EXS) takePendingLoss() (count uint64, firstTS, lastTS int64) {
-	e.qMu.Lock()
-	count, firstTS, lastTS = e.pendingLossN, e.pendingLossFirst, e.pendingLossLast
-	e.pendingLossN, e.pendingLossFirst, e.pendingLossLast = 0, 0, 0
-	e.qMu.Unlock()
-	return count, firstTS, lastTS
-}
-
-// tallyEvicted walks an evicted batch payload and returns the data-record
-// count and timestamp range it covered, folding in the covered counts of
-// any loss markers the batch itself carried (so a dropped marker's losses
-// are never forgotten). Evictions only happen under overload, so the
-// decode walk is off the steady-state path.
-func tallyEvicted(payload []byte) (count uint64, firstTS, lastTS int64) {
-	first := true
-	note := func(ts int64) {
-		if first {
-			firstTS, lastTS, first = ts, ts, false
-			return
-		}
-		if ts < firstTS {
-			firstTS = ts
-		}
-		if ts > lastTS {
-			lastTS = ts
-		}
-	}
-	for len(payload) > 0 {
-		rec, n, err := record.Decode(payload)
-		if err != nil || n == 0 {
-			break
-		}
-		payload = payload[n:]
-		if c, f, l, ok := record.LossInfo(&rec); ok {
-			count += c
-			note(f)
-			note(l)
-			continue
-		}
-		count++
-		if rec.HasTS {
-			note(rec.TS)
-		}
-	}
-	return count, firstTS, lastTS
-}
-
-// enqueue copies one batch into the retransmit queue, assigning its
-// sequence number and applying the drop-oldest bound. The copy reuses
-// storage released by earlier acks, so a flowing, acked stream allocates
-// no queue memory. Evicted batches feed the pending-loss accumulator so a
-// later batch's loss marker testifies to them.
-func (e *EXS) enqueue(payload []byte, count int) {
-	e.qMu.Lock()
-	var cp []byte
-	if n := len(e.freeBufs); n > 0 {
-		cp = e.freeBufs[n-1]
-		e.freeBufs = e.freeBufs[:n-1]
-	}
-	cp = append(cp, payload...)
-	e.nextSeq++
-	e.queue = append(e.queue, qEntry{seq: e.nextSeq, count: count, payload: cp})
-	e.qBytes += len(cp)
-	var evicted uint64
-	for e.qBytes > e.cfg.SpillBytes && len(e.queue) > 1 {
-		old := e.queue[0]
-		e.queue = e.queue[1:]
-		e.qBytes -= len(old.payload)
-		if old.sent {
-			e.inflight -= int64(old.count)
-		}
-		if n, f, l := tallyEvicted(old.payload); n > 0 {
-			e.addLossLocked(n, f, l)
-		}
-		e.recycleBuf(old.payload)
-		evicted += uint64(old.count)
-	}
-	e.qMu.Unlock()
-	if evicted > 0 {
-		e.dropped.Add(evicted)
-	}
-	if e.state.Load() != stateOnline {
-		e.spilled.Add(uint64(count))
-	}
-}
-
-// pump writes every not-yet-sent queued batch to c in sequence order.
-// Holding qMu across the sends keeps replays and fresh batches ordered;
-// the ack path contends on the same mutex but never blocks the socket.
-//
-// Under credit flow control a batch is only sent while the in-flight
-// record count fits the manager's window — except that the first batch is
-// always sendable (the grant is never zero, and a halt must still leave
-// one batch in flight whose ack will carry the next grant). Exhausted
-// credit stops the pass; the next DATA_ACK's grant resumes it.
-func (e *EXS) pump(c *wire.Conn) error {
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	blocked := false
-	for i := range e.queue {
-		ent := &e.queue[i]
-		if ent.sent {
-			continue
-		}
-		if e.creditOn && e.inflight > 0 && e.inflight+int64(ent.count) > e.creditW {
-			blocked = true
-			if !e.stalled {
-				e.stalled = true
-				e.creditStalls.Add(1)
-			}
-			break
-		}
-		msg := &wire.DataBatch{Seq: ent.seq, Count: uint32(ent.count), Payload: ent.payload}
-		if err := c.Send(msg); err != nil {
-			return err
-		}
-		if e.tracer != nil && !ent.everSent && e.tracer.ShouldSample(stageWireSend) {
-			if ts, ok := peekFirstTS(ent.payload); ok {
-				e.tracer.Observe(stageWireSend, e.clock.NowMicros()-ts)
-			}
-		}
-		ent.sent = true
-		e.inflight += int64(ent.count)
-		e.batches.Add(1)
-		if ent.everSent {
-			e.retransmits.Add(1)
-		} else {
-			ent.everSent = true
-			e.sent.Add(uint64(ent.count))
-		}
-	}
-	if !blocked {
-		e.stalled = false
-	}
-	return nil
-}
-
-// creditStalled reports whether the last pump pass stopped on exhausted
-// credit — the signal for the drain loop to widen its flush interval.
-func (e *EXS) creditStalled() bool {
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	return e.stalled
-}
-
-// ackTo releases every queued batch with sequence ≤ seq; the released
-// payload storage feeds later enqueues and their records leave the
-// credit-window in-flight count.
-func (e *EXS) ackTo(seq uint64) {
-	e.qMu.Lock()
-	for len(e.queue) > 0 && e.queue[0].seq <= seq {
-		if e.queue[0].sent {
-			e.inflight -= int64(e.queue[0].count)
-		}
-		e.qBytes -= len(e.queue[0].payload)
-		e.recycleBuf(e.queue[0].payload)
-		e.queue = e.queue[1:]
-	}
-	if len(e.queue) == 0 {
-		e.queue = nil // let the backing array go
-	}
-	if e.inflight < 0 {
-		e.inflight = 0
-	}
-	e.qMu.Unlock()
-}
-
-// markDisconnected tears down the given connection (if it is still the
-// current one), flags queued batches for retransmission, and wakes the
-// reconnector. Safe to call from any goroutine; duplicate reports against
-// the same connection are ignored.
-func (e *EXS) markDisconnected(c *wire.Conn, err error) {
-	e.connMu.Lock()
-	if e.conn != c || c == nil {
-		e.connMu.Unlock()
-		return
-	}
-	e.bytesOutBase.Add(c.BytesOut())
-	raw := e.raw
-	e.conn, e.raw = nil, nil
-	e.connMu.Unlock()
-	raw.Close()
-	e.resetTransmitState()
-	if e.closed.Load() {
-		return
-	}
-	if e.state.CompareAndSwap(stateOnline, stateReconnecting) {
-		e.logf("exs: manager connection lost (%v), reconnecting", err)
-	}
-	select {
-	case e.reconnectCh <- struct{}{}:
-	default:
-	}
-}
-
-// resetTransmitState flags every queued batch for retransmission and
-// clears the in-flight window. It must run whenever a connection is
-// abandoned — including a redial whose replay failed before the link
-// went online. Skipping it leaves sent-but-undelivered batches marked
-// sent: the next replay pass would omit them, and a cumulative ack for
-// a later sequence (the manager tolerates gaps because spill eviction
-// creates legitimate ones) would then release them silently.
-func (e *EXS) resetTransmitState() {
-	e.qMu.Lock()
-	for i := range e.queue {
-		e.queue[i].sent = false
-	}
-	e.inflight = 0 // nothing is in flight on a dead link
-	e.stalled = false
-	e.qMu.Unlock()
-}
-
-// markDead gives up on the manager permanently: the queue is discarded
-// (counted) and the drain degrades to discarding new records.
-func (e *EXS) markDead(reason string) {
-	if e.state.Swap(stateDead) == stateDead {
-		return
-	}
-	e.qMu.Lock()
-	var lost uint64
-	for _, ent := range e.queue {
-		lost += uint64(ent.count)
-	}
-	e.queue, e.qBytes = nil, 0
-	e.inflight = 0
-	e.stalled = false
-	e.qMu.Unlock()
-	if lost > 0 {
-		e.dropped.Add(lost)
-	}
-	if !e.closed.Load() {
-		e.logf("exs: giving up on manager (%s), discarding records", reason)
-	}
-}
-
-// backoffDelay computes the exponential-backoff delay for the given
-// 0-based attempt: base·2^attempt capped at max, with ±jitter uniform
-// noise drawn from rnd (a [0,1) source).
-func backoffDelay(attempt int, base, max time.Duration, jitter float64, rnd func() float64) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if jitter > 0 {
-		f := 1 + jitter*(2*rnd()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
-// nextReconnectDelay is the delay the reconnector sleeps before the
-// given 0-based attempt — the configured schedule with jitter drawn
-// from the (injectable) source.
-func (e *EXS) nextReconnectDelay(attempt int) time.Duration {
-	return backoffDelay(attempt, e.cfg.ReconnectBase, e.cfg.ReconnectMax,
-		e.cfg.ReconnectJitter, e.jitterRand)
-}
-
-// reconnector owns redialing: it sleeps through the backoff schedule,
-// re-runs the HELLO exchange with the session id, trims the queue to the
-// manager's resume point, replays the backlog, and only then marks the
-// link online.
-func (e *EXS) reconnector() {
-	defer e.wgCtl.Done()
-	for {
-		select {
-		case <-e.done:
-			return
-		case <-e.reconnectCh:
-		}
-		if e.state.Load() != stateReconnecting {
-			continue
-		}
-		if !e.reconnectLoop() {
-			return
-		}
-	}
-}
-
-// reconnectLoop runs one outage's retry schedule. It returns false when
-// the reconnector should exit (shutdown or permanent give-up).
-func (e *EXS) reconnectLoop() bool {
-	max := e.cfg.MaxReconnectAttempts
-	for attempt := 0; ; attempt++ {
-		if max >= 0 && attempt >= max {
-			e.markDead(fmt.Sprintf("retry cap %d reached", max))
-			return false
-		}
-		delay := e.nextReconnectDelay(attempt)
-		timer := time.NewTimer(delay)
-		select {
-		case <-e.done:
-			timer.Stop()
-			return false
-		case <-e.ctx.Done():
-			timer.Stop()
-			e.markDead("context canceled")
-			return false
-		case <-timer.C:
-		}
-		raw, conn, ack, err := e.connect(true)
-		if err != nil {
-			if e.ctx.Err() != nil {
-				e.markDead("context canceled")
-				return false
-			}
-			continue
-		}
-		e.node.Store(ack.Node)
-		e.applyWindow(ack.Window)
-		if ack.Resumed {
-			// Everything the manager already accepted is delivered.
-			e.ackTo(ack.LastSeq)
-		}
-		// Replay the backlog before going online so fresh batches cannot
-		// overtake older sequence numbers. A failure here abandons a
-		// connection markDisconnected never saw (e.conn is still nil), so
-		// the batches this pump wrote into the dead socket must be
-		// re-flagged for retransmission by hand.
-		if err := e.pump(conn); err != nil {
-			raw.Close()
-			e.resetTransmitState()
-			continue
-		}
-		e.connMu.Lock()
-		e.raw, e.conn = raw, conn
-		e.connMu.Unlock()
-		e.state.Store(stateOnline)
-		e.reconnects.Add(1)
-		e.logf("exs: reconnected to manager as node %d (resumed=%v)", ack.Node, ack.Resumed)
-		e.wgCtl.Add(1)
-		go e.controlLoop(conn)
-		// Catch anything queued while we were replaying.
-		if err := e.pump(conn); err != nil {
-			e.markDisconnected(conn, err)
-		}
-		return true
 	}
 }
 
@@ -965,16 +405,16 @@ func (e *EXS) drainLoop() {
 	noteRingDrops := func() {
 		if _, rd := e.cfg.Region.Stats(); rd > lastRingDropped {
 			now := e.clock.NowMicros()
-			e.addLoss(rd-lastRingDropped, now, now)
+			e.up.AddLoss(rd-lastRingDropped, now, now)
 			lastRingDropped = rd
 		}
 	}
 
 	ship := func() {
-		if e.state.Load() == stateDead {
+		if e.up.Dead() {
 			// No link will ever carry a marker again; the drops stay
 			// visible through the Dropped/RingDropped counters.
-			e.takePendingLoss()
+			e.up.TakeLoss()
 			if count > 0 {
 				e.lostOffline.Add(uint64(count))
 				batch = batch[:0]
@@ -982,7 +422,7 @@ func (e *EXS) drainLoop() {
 			}
 			return
 		}
-		if n, f, l := e.takePendingLoss(); n > 0 {
+		if n, f, l := e.up.TakeLoss(); n > 0 {
 			m := record.NewLossMarker(n, f, l)
 			if nb, err := m.Append(batch); err == nil {
 				batch = nb
@@ -990,22 +430,19 @@ func (e *EXS) drainLoop() {
 				e.lossMarkers.Add(1)
 				e.markedLost.Add(n)
 			} else {
-				e.addLoss(n, f, l) // keep it for the next batch
+				e.up.AddLoss(n, f, l) // keep it for the next batch
 			}
 		}
 		if count == 0 {
 			return
 		}
-		e.enqueue(batch, count)
+		e.up.Enqueue(batch, count)
+		if !e.up.Online() {
+			e.spilled.Add(uint64(count))
+		}
 		batch = batch[:0]
 		count = 0
-		if e.state.Load() == stateOnline {
-			if c := e.liveConn(); c != nil {
-				if err := e.pump(c); err != nil {
-					e.markDisconnected(c, err)
-				}
-			}
-		}
+		e.up.Pump()
 	}
 
 	ticker := time.NewTicker(e.cfg.PollInterval)
@@ -1014,7 +451,7 @@ func (e *EXS) drainLoop() {
 		select {
 		case <-e.done:
 			noteRingDrops()
-			for e.collect(&batch, &count) > 0 || count > 0 || e.hasPendingLoss() {
+			for e.collect(&batch, &count) > 0 || count > 0 || e.up.HasLoss() {
 				ship()
 			}
 			return
@@ -1024,11 +461,11 @@ func (e *EXS) drainLoop() {
 			oldestAt = time.Time{}
 		case <-ticker.C:
 			noteRingDrops()
-			stalled := e.creditStalled()
+			stalled := e.up.Stalled()
 			if !stalled {
 				effFlush = e.cfg.FlushInterval
 			}
-			if stalled && e.queuedBytes() >= e.cfg.SpillBytes/2 {
+			if stalled && e.up.QueuedBytes() >= e.cfg.SpillBytes/2 {
 				// Further collection would only evict older queued batches;
 				// prefer counted drops at the ring until credit returns.
 				if pauseStart.IsZero() {
@@ -1074,20 +511,13 @@ func (e *EXS) drainLoop() {
 				// loss linger until shutdown. Gated on an empty queue and
 				// live credit so a stalled sensor cannot flood its own
 				// spill queue with marker batches.
-				if !stalled && e.state.Load() == stateOnline &&
-					e.queuedBytes() == 0 && e.hasPendingLoss() {
+				if !stalled && e.up.Online() &&
+					e.up.QueuedBytes() == 0 && e.up.HasLoss() {
 					ship()
 				}
 			}
 		}
 	}
-}
-
-// queuedBytes returns the current spill-queue size.
-func (e *EXS) queuedBytes() int {
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	return e.qBytes
 }
 
 // collect drains the rings into the batch up to roughly the batch-size
@@ -1219,101 +649,28 @@ func patchRegion(region []byte, correction int64) {
 	}
 }
 
-// controlLoop services manager messages on one connection: clock probes,
-// adjustments, batch acknowledgements and heartbeats. It exits when the
-// connection dies, handing recovery to the reconnector.
-func (e *EXS) controlLoop(c *wire.Conn) {
-	defer e.wgCtl.Done()
-	for {
-		msg, err := c.Recv()
-		if err != nil {
-			if !e.closed.Load() {
-				e.markDisconnected(c, err)
-			}
-			return
-		}
-		switch t := msg.(type) {
-		case *wire.Probe:
-			e.probes.Add(1)
-			reply := &wire.ProbeReply{
-				Seq:        t.Seq,
-				MasterSend: t.MasterSend,
-				SlaveTime:  e.clock.NowMicros(),
-			}
-			if err := c.Send(reply); err != nil {
-				e.markDisconnected(c, err)
-				return
-			}
-		case *wire.Adjust:
-			e.adjusts.Add(1)
-			e.clock.Adjust(t.DeltaMicros)
-			if t.RatePPB >= 0 {
-				// Model-based master: track the reference clock between
-				// probes by extrapolating the correction at this rate.
-				e.clock.SetRatePPM(float64(t.RatePPB) / 1000)
-			}
-		case *wire.DataAck:
-			e.ackTo(t.Seq)
-			e.applyWindow(t.Window)
-			// The ack both freed credit and (possibly) carried a fresh
-			// grant, so batches parked on an exhausted window can go now.
-			if err := e.pump(c); err != nil {
-				e.markDisconnected(c, err)
-				return
-			}
-		case *wire.Ping:
-			if err := c.Send(&wire.Pong{Seq: t.Seq}); err != nil {
-				e.markDisconnected(c, err)
-				return
-			}
-		case *wire.Bye:
-			// Manager announced shutdown; treat it like a lost link so a
-			// restarted manager picks the session back up.
-			e.markDisconnected(c, errors.New("manager sent BYE"))
-			return
-		default:
-			e.logf("exs: unexpected %v from manager", msg.Type())
-			e.markDisconnected(c, fmt.Errorf("unexpected %v", msg.Type()))
-			return
-		}
-	}
-}
-
 // Stats returns a snapshot of counters.
 func (e *EXS) Stats() Stats {
 	_, ringDropped := e.cfg.Region.Stats()
-	var liveBytes uint64
-	e.connMu.Lock()
-	if e.conn != nil {
-		liveBytes = e.conn.BytesOut()
-	}
-	e.connMu.Unlock()
-	e.qMu.Lock()
-	queued := e.qBytes
-	creditW := int64(-1)
-	if e.creditOn {
-		creditW = e.creditW
-	}
-	e.qMu.Unlock()
 	return Stats{
-		Node:         e.node.Load(),
-		Session:      e.session,
-		Online:       e.state.Load() == stateOnline,
-		Sent:         e.sent.Value(),
-		Batches:      e.batches.Value(),
-		BytesOut:     e.bytesOutBase.Load() + liveBytes,
+		Node:         e.up.Node(),
+		Session:      e.up.Session(),
+		Online:       e.up.Online(),
+		Sent:         e.link.Sent.Value(),
+		Batches:      e.link.Batches.Value(),
+		BytesOut:     e.up.BytesOut(),
 		RingDropped:  ringDropped,
-		Probes:       e.probes.Value(),
-		Adjusts:      e.adjusts.Value(),
+		Probes:       e.link.Probes.Value(),
+		Adjusts:      e.link.Adjusts.Value(),
 		Correction:   e.clock.Correction(),
-		Reconnects:   e.reconnects.Value(),
-		Retransmits:  e.retransmits.Value(),
+		Reconnects:   e.link.Reconnects.Value(),
+		Retransmits:  e.link.Retransmits.Value(),
 		Spilled:      e.spilled.Value(),
-		Dropped:      e.dropped.Value(),
-		QueuedBytes:  queued,
+		Dropped:      e.link.Dropped.Value(),
+		QueuedBytes:  e.up.QueuedBytes(),
 		LostOffline:  e.lostOffline.Value(),
-		CreditWindow: creditW,
-		CreditStalls: e.creditStalls.Value(),
+		CreditWindow: e.up.CreditWindow(),
+		CreditStalls: e.link.CreditStalls.Value(),
 		LossMarkers:  e.lossMarkers.Value(),
 		MarkedLost:   e.markedLost.Value(),
 	}
@@ -1321,57 +678,12 @@ func (e *EXS) Stats() Stats {
 
 // Close ships any buffered records, announces BYE, and disconnects. It
 // returns promptly even while a reconnect loop is mid-backoff or
-// mid-dial; records still unacknowledged at that point are dropped and
-// counted.
+// mid-dial, or the manager has stopped reading; records still
+// unacknowledged at that point are dropped and counted.
 func (e *EXS) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	e.cancel() // abort any in-flight dial or backoff wait
-	// Bound the final sends so a wedged peer cannot block Close.
-	e.connMu.Lock()
-	if e.raw != nil {
-		e.raw.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	}
-	e.connMu.Unlock()
-	close(e.done)
-	// Let the drain loop ship its final batch before the socket goes.
-	e.wgDrain.Wait()
-	// Wait (bounded) for the manager to acknowledge the tail. Closing the
-	// socket while acknowledgements are still in flight would make the
-	// manager's ack writes hit a closed peer — a TCP reset that destroys
-	// the final batches sitting unread in its receive buffer.
-	drainDeadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(drainDeadline) {
-		e.qMu.Lock()
-		empty := len(e.queue) == 0
-		e.qMu.Unlock()
-		if empty || e.state.Load() != stateOnline || e.liveConn() == nil {
-			break
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	e.connMu.Lock()
-	c, raw := e.conn, e.raw
-	e.conn, e.raw = nil, nil
-	e.connMu.Unlock()
-	var err error
-	if c != nil {
-		e.bytesOutBase.Add(c.BytesOut())
-		_ = c.Send(&wire.Bye{})
-		err = raw.Close() // unblocks the control loop's Recv
-	}
-	e.wgCtl.Wait()
-	// Whatever the manager never acknowledged is gone now.
-	e.qMu.Lock()
-	var lost uint64
-	for _, ent := range e.queue {
-		lost += uint64(ent.count)
-	}
-	e.queue, e.qBytes = nil, 0
-	e.qMu.Unlock()
-	if lost > 0 {
-		e.dropped.Add(lost)
-	}
-	return err
+	return e.up.Close(func() {
+		// Let the drain loop ship its final batch before the socket goes.
+		close(e.done)
+		e.wgDrain.Wait()
+	})
 }

@@ -13,25 +13,22 @@ import (
 	"brisk/internal/wire"
 )
 
-// fakeISM is a minimal manager: it completes the HELLO exchange, records
-// what it receives, and (optionally) acknowledges batches.
+// fakeISM is a minimal manager: it completes the HELLO exchange and then
+// reads without ever acknowledging, so everything sent stays queued.
 type fakeISM struct {
-	ln      net.Listener
-	ackAll  bool
-	mu      sync.Mutex
-	conns   []net.Conn
-	hellos  []wire.Hello
-	batches []wire.DataBatch
-	wg      sync.WaitGroup
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+	wg    sync.WaitGroup
 }
 
-func newFakeISM(t *testing.T, ackAll bool) *fakeISM {
+func newFakeISM(t *testing.T) *fakeISM {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeISM{ln: ln, ackAll: ackAll}
+	f := &fakeISM{ln: ln}
 	f.wg.Add(1)
 	go f.acceptLoop()
 	t.Cleanup(func() { f.Close() })
@@ -64,30 +61,15 @@ func (f *fakeISM) serve(raw net.Conn, node int32) {
 	if err != nil {
 		return
 	}
-	hello, ok := msg.(*wire.Hello)
-	if !ok {
+	if _, ok := msg.(*wire.Hello); !ok {
 		return
 	}
-	f.mu.Lock()
-	f.hellos = append(f.hellos, *hello)
-	f.mu.Unlock()
 	if wc.Send(&wire.HelloAck{Node: node}) != nil {
 		return
 	}
 	for {
-		msg, err := wc.Recv()
-		if err != nil {
+		if _, err := wc.Recv(); err != nil {
 			return
-		}
-		if b, ok := msg.(*wire.DataBatch); ok {
-			f.mu.Lock()
-			f.batches = append(f.batches, wire.DataBatch{Seq: b.Seq, Count: b.Count})
-			f.mu.Unlock()
-			if f.ackAll {
-				if wc.Send(&wire.DataAck{Seq: b.Seq}) != nil {
-					return
-				}
-			}
 		}
 	}
 }
@@ -101,130 +83,6 @@ func (f *fakeISM) Close() {
 	}
 	f.mu.Unlock()
 	f.wg.Wait()
-}
-
-func fixedRand(v float64) func() float64 { return func() float64 { return v } }
-
-// TestBackoffDelaySchedule verifies the exponential schedule and its cap
-// with jitter disabled.
-func TestBackoffDelaySchedule(t *testing.T) {
-	const base = 10 * time.Millisecond
-	const max = 80 * time.Millisecond
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
-	for attempt, w := range want {
-		got := backoffDelay(attempt, base, max, 0, fixedRand(0))
-		if got != w*time.Millisecond {
-			t.Errorf("attempt %d: delay = %v, want %v", attempt, got, w*time.Millisecond)
-		}
-	}
-}
-
-// TestBackoffDelayJitterBounds verifies the ±jitter fraction holds at the
-// extremes of the random source and in between.
-func TestBackoffDelayJitterBounds(t *testing.T) {
-	const base = 100 * time.Millisecond
-	const jitter = 0.2
-	cases := []struct {
-		rnd  float64
-		want time.Duration
-	}{
-		{0, 80 * time.Millisecond},    // 1 + 0.2*(-1)
-		{0.5, 100 * time.Millisecond}, // 1 + 0.2*0
-		{1, 120 * time.Millisecond},   // 1 + 0.2*(+1)
-	}
-	for _, c := range cases {
-		got := backoffDelay(0, base, time.Second, jitter, fixedRand(c.rnd))
-		if got != c.want {
-			t.Errorf("rnd=%v: delay = %v, want %v", c.rnd, got, c.want)
-		}
-	}
-	// Any rnd value must land inside the band.
-	for _, rnd := range []float64{0.1, 0.25, 0.33, 0.7, 0.99} {
-		got := backoffDelay(3, base, 10*time.Second, jitter, fixedRand(rnd))
-		lo := time.Duration(float64(8*base) * (1 - jitter))
-		hi := time.Duration(float64(8*base) * (1 + jitter))
-		if got < lo || got > hi {
-			t.Errorf("rnd=%v: delay %v outside [%v, %v]", rnd, got, lo, hi)
-		}
-	}
-}
-
-// TestBackoffDelayFloor verifies sub-millisecond results are clamped, so
-// a zero base cannot spin-dial.
-func TestBackoffDelayFloor(t *testing.T) {
-	if got := backoffDelay(0, 1, time.Second, 0, fixedRand(0)); got < time.Millisecond {
-		t.Fatalf("delay = %v, want >= 1ms", got)
-	}
-}
-
-// TestEnqueueDropOldestAccounting exercises the spill bound directly: the
-// queue keeps the newest batches, evicts from the front, and counts every
-// dropped record.
-func TestEnqueueDropOldestAccounting(t *testing.T) {
-	e := &EXS{cfg: Config{SpillBytes: 100}}
-	e.registerMetrics(nil)
-	e.state.Store(stateReconnecting)
-
-	payload := make([]byte, 40)
-	for i := 0; i < 5; i++ { // 200 bytes total against a 100-byte budget
-		e.enqueue(payload, 3)
-	}
-	st := struct {
-		dropped uint64
-		spilled uint64
-	}{e.dropped.Value(), e.spilled.Value()}
-	e.qMu.Lock()
-	n := len(e.queue)
-	bytes := e.qBytes
-	firstSeq := e.queue[0].seq
-	lastSeq := e.queue[n-1].seq
-	e.qMu.Unlock()
-
-	if bytes > 100 {
-		t.Fatalf("queue holds %d bytes, budget 100", bytes)
-	}
-	if n != 2 || firstSeq != 4 || lastSeq != 5 {
-		t.Fatalf("queue = %d entries, seqs [%d..%d]; want the 2 newest (4..5)", n, firstSeq, lastSeq)
-	}
-	if st.dropped != 9 { // 3 evicted batches × 3 records
-		t.Fatalf("Dropped = %d, want 9", st.dropped)
-	}
-	if st.spilled != 15 { // all 5 batches enqueued while offline
-		t.Fatalf("Spilled = %d, want 15", st.spilled)
-	}
-}
-
-// TestEnqueueKeepsOversizedBatch verifies a single batch larger than the
-// whole budget is still retained (the bound drops oldest, never newest).
-func TestEnqueueKeepsOversizedBatch(t *testing.T) {
-	e := &EXS{cfg: Config{SpillBytes: 10}}
-	e.registerMetrics(nil)
-	e.state.Store(stateReconnecting)
-	e.enqueue(make([]byte, 50), 2)
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	if len(e.queue) != 1 || e.dropped.Value() != 0 {
-		t.Fatalf("oversized batch evicted: queue=%d dropped=%d", len(e.queue), e.dropped.Value())
-	}
-}
-
-// TestAckToReleasesPrefix verifies cumulative acknowledgement frees
-// exactly the acked prefix.
-func TestAckToReleasesPrefix(t *testing.T) {
-	e := &EXS{cfg: Config{SpillBytes: 1 << 20}}
-	e.registerMetrics(nil)
-	for i := 0; i < 4; i++ {
-		e.enqueue(make([]byte, 8), 1)
-	}
-	e.ackTo(2)
-	e.qMu.Lock()
-	defer e.qMu.Unlock()
-	if len(e.queue) != 2 || e.queue[0].seq != 3 {
-		t.Fatalf("after ackTo(2): %d entries, head seq %d", len(e.queue), e.queue[0].seq)
-	}
-	if e.qBytes != 16 {
-		t.Fatalf("qBytes = %d, want 16", e.qBytes)
-	}
 }
 
 // dialFake connects an EXS to a fake manager with fast test timings.
@@ -253,11 +111,16 @@ func dialFake(t *testing.T, f *fakeISM, mutate func(*Config)) (*EXS, *shm.Region
 }
 
 // TestRetryCapDegradesToOffline kills the manager for good and verifies
-// the sensor runs its capped schedule, gives up, counts the stranded
-// queue as dropped, and keeps draining (LostOffline grows, ring empties).
+// the sensor runs its capped schedule (drawing jitter from the injected
+// Config.ReconnectRand), gives up, counts the stranded queue as dropped,
+// and keeps draining (LostOffline grows, ring empties).
 func TestRetryCapDegradesToOffline(t *testing.T) {
-	f := newFakeISM(t, false)
-	e, region := dialFake(t, f, func(c *Config) { c.MaxReconnectAttempts = 2 })
+	f := newFakeISM(t)
+	var draws atomic.Int64
+	e, region := dialFake(t, f, func(c *Config) {
+		c.MaxReconnectAttempts = 2
+		c.ReconnectRand = func() float64 { draws.Add(1); return 0.5 }
+	})
 	s := sensor.New(region, "app", sensor.Options{})
 
 	s.Notice2i(1, 1, 0)
@@ -283,67 +146,12 @@ func TestRetryCapDegradesToOffline(t *testing.T) {
 	t.Fatalf("sensor never degraded to offline: %+v", e.Stats())
 }
 
-// TestReconnectResumesAndRetransmits bounces every connection after the
-// first batch and verifies the sensor reconnects (new HELLO carries the
-// same session id with Resume set) and replays the unacked batch.
-func TestReconnectResumesAndRetransmits(t *testing.T) {
-	f := newFakeISM(t, false) // never acks: everything stays queued
-	e, region := dialFake(t, f, nil)
-	s := sensor.New(region, "app", sensor.Options{})
-
-	s.Notice2i(1, 1, 0)
-	e.Flush()
-	waitFor(t, 5*time.Second, func() bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return len(f.batches) >= 1
-	})
-
-	// Kill the live connection only; the listener stays up.
-	f.mu.Lock()
-	for _, c := range f.conns {
-		c.Close()
-	}
-	f.mu.Unlock()
-
-	waitFor(t, 5*time.Second, func() bool {
-		st := e.Stats()
-		return st.Online && st.Reconnects >= 1
-	})
-	waitFor(t, 5*time.Second, func() bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return len(f.batches) >= 2 // the unacked batch was replayed
-	})
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.hellos) < 2 {
-		t.Fatalf("hellos = %d, want 2", len(f.hellos))
-	}
-	h0, h1 := f.hellos[0], f.hellos[1]
-	if h0.Session == 0 || h0.Session != h1.Session {
-		t.Fatalf("session ids: first %d, second %d — must match and be nonzero", h0.Session, h1.Session)
-	}
-	if h0.Resume || !h1.Resume {
-		t.Fatalf("resume flags: first %v, second %v", h0.Resume, h1.Resume)
-	}
-	if f.batches[0].Seq != f.batches[len(f.batches)-1].Seq {
-		t.Fatalf("replayed batch changed seq: %d vs %d", f.batches[0].Seq, f.batches[len(f.batches)-1].Seq)
-	}
-	if e.Stats().Retransmits == 0 {
-		t.Fatal("Retransmits not counted")
-	}
-	if e.Stats().Sent != 1 {
-		t.Fatalf("Sent = %d after replay, want 1 (no double count)", e.Stats().Sent)
-	}
-}
-
 // TestCloseDuringReconnectDoesNotBlock is the regression test for Close
 // racing an active reconnect loop: with the manager gone and an
 // effectively unbounded retry schedule, Close must still return promptly
 // and leave no goroutine wedged in a backoff sleep or dial.
 func TestCloseDuringReconnectDoesNotBlock(t *testing.T) {
-	f := newFakeISM(t, false)
+	f := newFakeISM(t)
 	e, region := dialFake(t, f, func(c *Config) {
 		c.MaxReconnectAttempts = -1 // retry forever
 		c.ReconnectBase = 10 * time.Second
@@ -373,7 +181,7 @@ func TestCloseDuringReconnectDoesNotBlock(t *testing.T) {
 // TestDialContextCancelAbortsBackoff verifies canceling the lifetime
 // context mid-outage stops reconnection permanently.
 func TestDialContextCancelAbortsBackoff(t *testing.T) {
-	f := newFakeISM(t, false)
+	f := newFakeISM(t)
 	region := shm.NewRegion()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -403,179 +211,6 @@ func TestDialContextCancelAbortsBackoff(t *testing.T) {
 	}
 }
 
-// TestReplayAbortRetransmitsWrittenPrefix is the regression test for the
-// silent-loss hole where a redial's replay pump dies mid-pass: batches it
-// had already written into the doomed socket stayed flagged sent, the
-// next replay skipped them, and the manager's cumulative ack for a later
-// sequence (gaps are legal — eviction creates them) released them without
-// delivery. The fake manager here never acks on the first connection,
-// accepts the resume on the second and immediately resets it mid-replay,
-// then behaves on the third — which must receive every sequence.
-func TestReplayAbortRetransmitsWrittenPrefix(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	// Enough queued bytes that the second connection's replay overflows
-	// the loopback socket buffers (the kernel autotunes the send buffer
-	// up to ~4 MiB) and blocks mid-pass: ~330 batches of ~16 KiB
-	// (batchRecords records of 24 bytes each) ≈ 5.4 MiB.
-	const conn1Batches = 330
-	const batchRecords = 680
-
-	var mu sync.Mutex
-	seqs := make(map[int][]uint64) // connection ordinal → batch seqs received
-	conn1Done := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 1; ; n++ {
-			raw, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wc := wire.NewConn(raw)
-			msg, err := wc.Recv()
-			if err != nil {
-				raw.Close()
-				continue
-			}
-			hello, ok := msg.(*wire.Hello)
-			if !ok {
-				raw.Close()
-				continue
-			}
-			ack := &wire.HelloAck{Node: 1, Resumed: hello.Resume}
-			if wc.Send(ack) != nil {
-				raw.Close()
-				continue
-			}
-			if n == 2 {
-				// Read nothing: the replay pump fills the socket buffers,
-				// marks those batches sent, and blocks. Then reset the
-				// link so the blocked write fails partway through the
-				// replay pass.
-				time.Sleep(50 * time.Millisecond)
-				if tc, ok := raw.(*net.TCPConn); ok {
-					tc.SetLinger(0)
-				}
-				raw.Close()
-				continue
-			}
-			conn := n
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer raw.Close()
-				for {
-					msg, err := wc.Recv()
-					if err != nil {
-						return
-					}
-					b, ok := msg.(*wire.DataBatch)
-					if !ok {
-						continue
-					}
-					mu.Lock()
-					seqs[conn] = append(seqs[conn], b.Seq)
-					got := len(seqs[conn])
-					mu.Unlock()
-					if conn == 1 {
-						// Never ack; once the queue holds well over a
-						// socket buffer's worth of unacked batches, cut.
-						if got == conn1Batches {
-							if tc, ok := raw.(*net.TCPConn); ok {
-								tc.SetLinger(0)
-							}
-							raw.Close()
-							close(conn1Done)
-							return
-						}
-						continue
-					}
-					if wc.Send(&wire.DataAck{Seq: b.Seq}) != nil {
-						return
-					}
-				}
-			}()
-			if conn >= 3 {
-				return // accept loop done; connection 3 is the keeper
-			}
-		}
-	}()
-
-	region := shm.NewRegion()
-	cfg := Config{
-		ManagerAddr:   ln.Addr().String(),
-		NodeName:      "t",
-		Region:        region,
-		FlushInterval: time.Millisecond,
-		PollInterval:  200 * time.Microsecond,
-		ReconnectBase: 2 * time.Millisecond,
-		ReconnectMax:  10 * time.Millisecond,
-		SpillBytes:    16 << 20, // hold the whole backlog; no eviction
-		Logf:          func(string, ...any) {},
-	}
-	e, err := Dial(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s := sensor.New(region, "app", sensor.Options{})
-
-	// Ship the backlog one batch at a time (paced on the fake's receive
-	// count so the ring never overruns); the fake cuts after the last.
-	for i := 0; i < conn1Batches; i++ {
-		for j := 0; j < batchRecords; j++ {
-			s.Notice2i(1, int32(i), int32(j))
-		}
-		e.Flush()
-		waitFor(t, 5*time.Second, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return len(seqs[1]) >= i+1
-		})
-	}
-	<-conn1Done
-
-	// The sensor must reconnect (twice: the mid-replay reset, then the
-	// good connection) and drain its whole queue.
-	waitFor(t, 10*time.Second, func() bool {
-		e.qMu.Lock()
-		empty := len(e.queue) == 0
-		e.qMu.Unlock()
-		return e.Stats().Online && empty
-	})
-
-	st := e.Stats()
-	if st.Dropped != 0 {
-		t.Fatalf("Dropped = %d, want 0", st.Dropped)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var maxSeq uint64
-	for _, batch := range seqs {
-		for _, q := range batch {
-			if q > maxSeq {
-				maxSeq = q
-			}
-		}
-	}
-	got := make(map[uint64]bool, len(seqs[3]))
-	for _, q := range seqs[3] {
-		got[q] = true
-	}
-	for q := uint64(1); q <= maxSeq; q++ {
-		if !got[q] {
-			t.Errorf("seq %d never delivered on the surviving connection (conn3 saw %v)", q, seqs[3])
-		}
-	}
-}
-
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -586,38 +221,4 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached in time")
-}
-
-// TestReconnectRandInjectable verifies Config.ReconnectRand is the
-// source the live reconnect schedule draws from: with a deterministic
-// injected source, the sensor's per-attempt delays are an exact,
-// reproducible function of the attempt number, and a real outage
-// consumes draws from that source (not a hidden wall-clock-seeded RNG).
-func TestReconnectRandInjectable(t *testing.T) {
-	f := newFakeISM(t, true)
-	var calls atomic.Int64
-	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
-	e, _ := dialFake(t, f, func(c *Config) {
-		c.ReconnectBase = base
-		c.ReconnectMax = max
-		c.ReconnectJitter = 0.2
-		c.MaxReconnectAttempts = 2
-		// rnd=0.5 makes the jitter factor exactly 1, so the schedule is
-		// the pure exponential — byte-exact assertions below.
-		c.ReconnectRand = func() float64 { calls.Add(1); return 0.5 }
-	})
-	want := []time.Duration{base, 2 * base, 4 * base, max, max}
-	for attempt, w := range want {
-		if got := e.nextReconnectDelay(attempt); got != w {
-			t.Errorf("attempt %d: delay = %v, want %v (injected source must pin the schedule)", attempt, got, w)
-		}
-	}
-	probes := calls.Load() // draws consumed by the assertions above
-
-	// A real outage must draw its backoff jitter from the same source.
-	f.Close()
-	waitFor(t, 10*time.Second, func() bool { return e.state.Load() == stateDead })
-	if calls.Load() <= probes {
-		t.Fatal("outage reconnect schedule did not draw from the injected jitter source")
-	}
 }

@@ -222,13 +222,13 @@ func (p *Proxy) acceptLoop() {
 		p.mu.Unlock()
 		p.accepted.Add(1)
 		p.wg.Add(2)
-		go p.pump(l, c, s, true)
-		go p.pump(l, s, c, false)
+		go p.shuttle(l, c, s, true)
+		go p.shuttle(l, s, c, false)
 	}
 }
 
-// pump relays one direction of a link, applying the scripted faults.
-func (p *Proxy) pump(l *link, src, dst net.Conn, up bool) {
+// shuttle relays one direction of a link, applying the scripted faults.
+func (p *Proxy) shuttle(l *link, src, dst net.Conn, up bool) {
 	defer p.wg.Done()
 	defer func() {
 		l.sever()

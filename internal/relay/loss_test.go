@@ -97,10 +97,13 @@ func TestLossMarkerAggregationAcrossTiers(t *testing.T) {
 		leaves[i] = l
 	}
 
+	// Each phase gets its own event classes: the looper numbers its
+	// records from zero every run, and the surviving tails of both phases
+	// can reach the root, so (node, event, seq) must tell them apart.
 	const phaseEvents = 2500
 	drive := func(phase int) {
 		for i, l := range leaves {
-			lp := &workload.Looper{Sensor: l.sensor, Event: uint8(10 + i)}
+			lp := &workload.Looper{Sensor: l.sensor, Event: uint8(10 + nLeaves*phase + i)}
 			got := lp.Run(phaseEvents)
 			if got != phaseEvents {
 				t.Fatalf("phase %d leaf %d: ring accepted %d of %d (size the ring up)", phase, i, got, phaseEvents)

@@ -13,11 +13,13 @@
 //     unacknowledged backlog toward the ack-gate occupancy — so a parent
 //     withholding acks closes this tier's gate and the halt propagates
 //     to the leaves;
-//   - upstream, an EXS-shaped client (sequence-numbered retransmit
-//     queue, credit flow control, session resume, drop-oldest eviction
-//     folding into loss markers) that ships RelayBatch frames whose
-//     entries carry their 4-byte origin node ids, rebased by NodeBase so
-//     origins stay globally unique across relays.
+//   - upstream, the same resumable-session sender the external sensor
+//     links (internal/uplink: sequence-numbered replay queue, credit flow
+//     control, session resume, drop-oldest eviction tallied for loss
+//     markers), shipping RelayBatch frames whose entries carry their
+//     4-byte origin node ids, rebased by NodeBase so origins stay
+//     globally unique across relays. This package only assembles and
+//     seals those batches.
 //
 // Clock correction composes per hop: the relay's child-tier sync master
 // runs on the relay's raw clock (children converge to the relay frame),
@@ -36,13 +38,10 @@
 package relay
 
 import (
-	"crypto/rand"
-	"encoding/binary"
+	"context"
 	"errors"
 	"fmt"
 	"log"
-	mrand "math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,18 +49,9 @@ import (
 	"brisk/internal/ism"
 	"brisk/internal/metrics"
 	"brisk/internal/record"
+	"brisk/internal/uplink"
 	"brisk/internal/vclock"
 	"brisk/internal/wire"
-)
-
-// DefaultReconnectAttempts bounds one uplink outage's retry schedule.
-const DefaultReconnectAttempts = 20
-
-// Uplink connection states.
-const (
-	stateOnline = iota
-	stateReconnecting
-	stateDead
 )
 
 // Config configures a Relay. Addr and Parent are required.
@@ -103,8 +93,8 @@ type Config struct {
 	// backoff. Defaults 50 ms and 5 s.
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// MaxReconnectAttempts caps one outage's retries; 0 means
-	// DefaultReconnectAttempts, negative retries forever.
+	// MaxReconnectAttempts caps one outage's retries; 0 means 20,
+	// negative retries forever.
 	MaxReconnectAttempts int
 	// ReconnectRand, when non-nil, is the [0,1) source the uplink's
 	// ±20% backoff jitter is drawn from. Injectable so backoff schedules
@@ -162,71 +152,34 @@ type Stats struct {
 	ISM ism.Stats
 }
 
-// qEntry is one sealed, sequence-numbered uplink batch.
-type qEntry struct {
-	seq      uint64
-	count    int
-	payload  []byte
-	sent     bool
-	everSent bool
-}
-
 // Relay is one intermediate-tier node. Create with New, stop with Close.
 type Relay struct {
-	cfg     Config
-	logf    func(string, ...any)
-	rawClk  vclock.Clock
-	clock   *vclock.Corrected
-	mgr     *ism.Manager
-	reg     *metrics.Registry
-	session uint64
+	cfg    Config
+	logf   func(string, ...any)
+	rawClk vclock.Clock
+	clock  *vclock.Corrected
+	mgr    *ism.Manager
+	reg    *metrics.Registry
+	up     *uplink.Sender
 
-	// Uplink batch assembly and retransmit queue. cur accumulates
-	// encoded entries between seals; queue holds sealed batches until
-	// the parent acks them.
-	qMu       sync.Mutex
-	cur       []byte
-	curCount  int
-	queue     []qEntry
-	qBytes    int
-	nextSeq   uint64
-	freeBufs  [][]byte
-	inflight  int64
-	creditOn  bool
-	creditW   int64
-	stalled   bool
-	lossCount uint64
-	lossFirst int64
-	lossLast  int64
+	// mu guards the batch under assembly: cur accumulates encoded entries
+	// between seals, sealBuf is scratch for a seal that must put a loss
+	// marker in front of them.
+	mu       sync.Mutex
+	cur      []byte
+	curCount int
+	sealBuf  []byte
 
-	backlog atomic.Int64 // records in cur + queue (pending-loss coverage excluded)
+	backlog atomic.Int64 // records in cur + the sender's queue (pending-loss coverage excluded)
 
-	connMu sync.Mutex
-	conn   *wire.Conn
-	raw    net.Conn
+	done     chan struct{}
+	flushNow chan struct{}
+	wgFlush  sync.WaitGroup
 
-	state       atomic.Int32
-	node        atomic.Int32
-	closed      atomic.Bool
-	done        chan struct{}
-	flushNow    chan struct{}
-	reconnectCh chan struct{}
-	wgCtl       sync.WaitGroup
-	wgFlush     sync.WaitGroup
-	jitterRand  func() float64 // guarded by rngMu
-	rngMu       sync.Mutex
-
+	link         uplink.Counters // the series the sender advances
 	forwarded    *metrics.Counter
-	shipped      *metrics.Counter
-	batches      *metrics.Counter
-	retransmits  *metrics.Counter
-	reconnects   *metrics.Counter
-	dropped      *metrics.Counter
 	lossMarkersC *metrics.Counter
 	markedLostC  *metrics.Counter
-	creditStalls *metrics.Counter
-	probes       *metrics.Counter
-	adjusts      *metrics.Counter
 }
 
 // New creates a relay: it starts the downstream manager on cfg.Addr,
@@ -247,38 +200,17 @@ func New(cfg Config) (*Relay, error) {
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 2 * time.Millisecond
 	}
-	if cfg.QueueBytes <= 0 {
-		cfg.QueueBytes = 4 << 20
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.ReconnectBase <= 0 {
-		cfg.ReconnectBase = 50 * time.Millisecond
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 5 * time.Second
-	}
-	if cfg.MaxReconnectAttempts == 0 {
-		cfg.MaxReconnectAttempts = DefaultReconnectAttempts
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = log.Printf
 	}
 	r := &Relay{
-		cfg:         cfg,
-		logf:        logf,
-		rawClk:      cfg.Clock,
-		clock:       vclock.NewCorrected(cfg.Clock),
-		session:     newSessionID(),
-		done:        make(chan struct{}),
-		flushNow:    make(chan struct{}, 1),
-		reconnectCh: make(chan struct{}, 1),
-	}
-	r.jitterRand = cfg.ReconnectRand
-	if r.jitterRand == nil {
-		r.jitterRand = mrand.New(mrand.NewSource(int64(r.session) ^ time.Now().UnixNano())).Float64
+		cfg:      cfg,
+		logf:     logf,
+		rawClk:   cfg.Clock,
+		clock:    vclock.NewCorrected(cfg.Clock),
+		done:     make(chan struct{}),
+		flushNow: make(chan struct{}, 1),
 	}
 	r.registerMetrics(cfg.Metrics)
 
@@ -297,39 +229,44 @@ func New(cfg Config) (*Relay, error) {
 	}
 	r.mgr = mgr
 
-	raw, conn, ack, err := r.connect(false)
+	r.up, err = uplink.Dial(context.Background(), uplink.Config{
+		Addr:                 cfg.Parent,
+		Name:                 cfg.Name,
+		Tag:                  "relay",
+		Peer:                 "parent",
+		Frame:                wire.MsgRelayData,
+		Clock:                r.clock,
+		QueueBytes:           cfg.QueueBytes,
+		DialTimeout:          cfg.DialTimeout,
+		ReconnectBase:        cfg.ReconnectBase,
+		ReconnectMax:         cfg.ReconnectMax,
+		MaxReconnectAttempts: cfg.MaxReconnectAttempts,
+		ReconnectRand:        cfg.ReconnectRand,
+		Logf:                 logf,
+		Counters:             r.link,
+		OnRelease:            func(records int) { r.backlog.Add(-int64(records)) },
+	})
 	if err != nil {
 		mgr.Close()
 		return nil, err
 	}
-	r.raw, r.conn = raw, conn
-	r.node.Store(ack.Node)
-	r.applyWindow(ack.Window)
-	r.state.Store(stateOnline)
+	r.reg.GaugeFunc(metrics.Desc{Name: "brisk_relay_online",
+		Help: "1 while the uplink session is attached to the parent"},
+		func() float64 {
+			if r.up.Online() {
+				return 1
+			}
+			return 0
+		})
 
 	mgr.Start()
-	r.wgCtl.Add(1)
-	go r.controlLoop(conn)
-	r.wgCtl.Add(1)
-	go r.reconnector()
 	r.wgFlush.Add(1)
 	go r.flushLoop()
 	return r, nil
 }
 
-// newSessionID returns a random non-zero session identifier.
-func newSessionID() uint64 {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			return uint64(time.Now().UnixNano()) | 1
-		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
-}
-
+// registerMetrics creates (or adopts) the registry and binds the relay's
+// series; the ones in r.link are advanced by the uplink sender.
 func (r *Relay) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -337,26 +274,26 @@ func (r *Relay) registerMetrics(reg *metrics.Registry) {
 	r.reg = reg
 	r.forwarded = reg.Counter(metrics.Desc{Name: "brisk_relay_forwarded_total",
 		Help: "records tapped off the downstream emission into the uplink", Unit: "records"})
-	r.shipped = reg.Counter(metrics.Desc{Name: "brisk_relay_shipped_total",
+	r.link.Sent = reg.Counter(metrics.Desc{Name: "brisk_relay_shipped_total",
 		Help: "records first-sent to the parent (uplink markers included)", Unit: "records"})
-	r.batches = reg.Counter(metrics.Desc{Name: "brisk_relay_batches_total",
+	r.link.Batches = reg.Counter(metrics.Desc{Name: "brisk_relay_batches_total",
 		Help: "relay-batch frames written upstream, retransmits included", Unit: "batches"})
-	r.retransmits = reg.Counter(metrics.Desc{Name: "brisk_relay_retransmit_batches_total",
+	r.link.Retransmits = reg.Counter(metrics.Desc{Name: "brisk_relay_retransmit_batches_total",
 		Help: "uplink batches replayed after a session resume", Unit: "batches"})
-	r.reconnects = reg.Counter(metrics.Desc{Name: "brisk_relay_reconnects_total",
+	r.link.Reconnects = reg.Counter(metrics.Desc{Name: "brisk_relay_reconnects_total",
 		Help: "successful uplink reconnections to the parent", Unit: "connections"})
-	r.dropped = reg.Counter(metrics.Desc{Name: "brisk_relay_dropped_total",
+	r.link.Dropped = reg.Counter(metrics.Desc{Name: "brisk_relay_dropped_total",
 		Help: "records discarded from the uplink queue (evicted into a loss marker, or unacknowledged at close)",
 		Unit: "records"})
 	r.lossMarkersC = reg.Counter(metrics.Desc{Name: "brisk_relay_loss_markers_total",
 		Help: "loss markers synthesized by the uplink for evicted batches", Unit: "markers"})
 	r.markedLostC = reg.Counter(metrics.Desc{Name: "brisk_relay_marked_lost_total",
 		Help: "records represented by uplink-synthesized loss markers", Unit: "records"})
-	r.creditStalls = reg.Counter(metrics.Desc{Name: "brisk_relay_credit_stalls_total",
+	r.link.CreditStalls = reg.Counter(metrics.Desc{Name: "brisk_relay_credit_stalls_total",
 		Help: "uplink pump passes stopped on exhausted parent credit", Unit: "stalls"})
-	r.probes = reg.Counter(metrics.Desc{Name: "brisk_relay_clock_probes_total",
+	r.link.Probes = reg.Counter(metrics.Desc{Name: "brisk_relay_clock_probes_total",
 		Help: "parent clock-synchronization probes answered", Unit: "probes"})
-	r.adjusts = reg.Counter(metrics.Desc{Name: "brisk_relay_clock_adjusts_total",
+	r.link.Adjusts = reg.Counter(metrics.Desc{Name: "brisk_relay_clock_adjusts_total",
 		Help: "parent clock adjustments applied to the relay correction", Unit: "adjustments"})
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_relay_backlog_records",
 		Help: "unacknowledged uplink backlog counted toward the downstream ack gate", Unit: "records"},
@@ -364,14 +301,6 @@ func (r *Relay) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_relay_correction_microseconds",
 		Help: "accumulated relay-to-root clock correction (this hop's offset estimate)", Unit: "microseconds"},
 		func() float64 { return float64(r.clock.Correction()) })
-	reg.GaugeFunc(metrics.Desc{Name: "brisk_relay_online",
-		Help: "1 while the uplink session is attached to the parent"},
-		func() float64 {
-			if r.state.Load() == stateOnline {
-				return 1
-			}
-			return 0
-		})
 }
 
 // Metrics returns the registry holding the relay's (and its embedded
@@ -386,59 +315,22 @@ func (r *Relay) Manager() *ism.Manager { return r.mgr }
 func (r *Relay) Addr() string { return r.mgr.Addr() }
 
 // Node returns the parent-assigned uplink node id.
-func (r *Relay) Node() int32 { return r.node.Load() }
+func (r *Relay) Node() int32 { return r.up.Node() }
 
 // Clock returns the relay's corrected clock (raw clock plus the
 // correction accumulated from parent sync rounds).
 func (r *Relay) Clock() *vclock.Corrected { return r.clock }
 
-// connect dials the parent and runs the HELLO exchange.
-func (r *Relay) connect(resume bool) (net.Conn, *wire.Conn, *wire.HelloAck, error) {
-	d := net.Dialer{Timeout: r.cfg.DialTimeout}
-	raw, err := d.Dial("tcp", r.cfg.Parent)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("relay: dial parent: %w", err)
-	}
-	raw.SetDeadline(time.Now().Add(r.cfg.DialTimeout))
-	conn := wire.NewConn(raw)
-	hello := &wire.Hello{
-		Version: wire.ProtocolVersion,
-		Name:    r.cfg.Name,
-		Session: r.session,
-		Resume:  resume,
-	}
-	if err := conn.Send(hello); err != nil {
-		raw.Close()
-		return nil, nil, nil, fmt.Errorf("relay: hello: %w", err)
-	}
-	msg, err := conn.Recv()
-	if err != nil {
-		raw.Close()
-		return nil, nil, nil, fmt.Errorf("relay: hello ack: %w", err)
-	}
-	ack, ok := msg.(*wire.HelloAck)
-	if !ok {
-		raw.Close()
-		return nil, nil, nil, fmt.Errorf("relay: expected HELLO_ACK, got %v", msg.Type())
-	}
-	if ack.Version >= wire.MinProtocolVersion && ack.Version <= wire.ProtocolVersion {
-		// Pin the uplink to the version the parent negotiated.
-		conn.SetVersion(ack.Version)
-	}
-	raw.SetDeadline(time.Time{})
-	return raw, conn, ack, nil
-}
-
 // forward is the downstream manager's Forward tap: it encodes one
 // emitted record as a node-prefixed entry into the batch under
 // assembly, rebasing the origin id and patching the timestamp into the
 // parent frame. Runs on the downstream merger with its pipeline lock
-// held, so it only appends — sealing moves the batch to the queue but
-// never touches the network.
+// held, so it only appends — sealing copies the batch into the sender's
+// queue but never touches the network.
 func (r *Relay) forward(rec *record.Record) {
 	node := rec.Node + r.cfg.NodeBase
 	corr := r.clock.Correction()
-	r.qMu.Lock()
+	r.mu.Lock()
 	mark := len(r.cur)
 	buf := append(r.cur,
 		byte(uint32(node)>>24), byte(uint32(node)>>16),
@@ -455,7 +347,7 @@ func (r *Relay) forward(rec *record.Record) {
 	}
 	if err != nil {
 		r.cur = buf[:mark]
-		r.qMu.Unlock()
+		r.mu.Unlock()
 		r.logf("relay: encode for uplink: %v", err)
 		return
 	}
@@ -466,7 +358,7 @@ func (r *Relay) forward(rec *record.Record) {
 	if seal {
 		r.sealLocked()
 	}
-	r.qMu.Unlock()
+	r.mu.Unlock()
 	r.forwarded.Inc()
 	if seal {
 		r.kick()
@@ -490,355 +382,27 @@ func appendMarker(buf []byte, node int32, count uint64, firstTS, lastTS int64) (
 	return rec.Append(buf)
 }
 
-// sealLocked closes the batch under assembly into a queue entry,
-// prefixing a loss marker when evictions are pending, and applies the
-// drop-oldest queue bound. Caller holds qMu.
+// sealLocked closes the batch under assembly into the sender's queue,
+// putting a loss marker in front of it when evictions are pending (a
+// marker alone when there is nothing else to ship). Caller holds mu.
 func (r *Relay) sealLocked() {
-	if r.curCount == 0 && r.lossCount == 0 {
-		return
-	}
-	var payload []byte
-	if n := len(r.freeBufs); n > 0 {
-		payload = r.freeBufs[n-1]
-		r.freeBufs = r.freeBufs[:n-1]
-	}
-	count := 0
-	if r.lossCount > 0 {
-		var err error
-		payload, err = appendMarker(payload, r.cfg.NodeBase, r.lossCount, r.lossFirst, r.lossLast)
-		if err == nil {
-			count++
+	payload, count := r.cur, r.curCount
+	if n, f, l := r.up.TakeLoss(); n > 0 {
+		if m, err := appendMarker(r.sealBuf[:0], r.cfg.NodeBase, n, f, l); err == nil {
+			r.sealBuf = append(m, r.cur...)
+			payload, count = r.sealBuf, count+1
 			r.backlog.Add(1)
 			r.lossMarkersC.Inc()
-			r.markedLostC.Add(r.lossCount)
-			r.lossCount, r.lossFirst, r.lossLast = 0, 0, 0
+			r.markedLostC.Add(n)
+		} else {
+			r.up.AddLoss(n, f, l) // keep it for the next seal
 		}
 	}
-	payload = append(payload, r.cur...)
-	count += r.curCount
-	r.cur = r.cur[:0]
-	r.curCount = 0
-	r.nextSeq++
-	r.queue = append(r.queue, qEntry{seq: r.nextSeq, count: count, payload: payload})
-	r.qBytes += len(payload)
-	var evicted uint64
-	for r.qBytes > r.cfg.QueueBytes && len(r.queue) > 1 {
-		old := r.queue[0]
-		r.queue = r.queue[1:]
-		r.qBytes -= len(old.payload)
-		if old.sent {
-			r.inflight -= int64(old.count)
-		}
-		if n, f, l := tallyPrefixed(old.payload); n > 0 {
-			r.addLossLocked(n, f, l)
-		}
-		r.recycleBuf(old.payload)
-		r.backlog.Add(-int64(old.count))
-		evicted += uint64(old.count)
-	}
-	if evicted > 0 {
-		r.dropped.Add(evicted)
-	}
-}
-
-// tallyPrefixed sums the records of one node-prefixed uplink payload,
-// folding nested loss markers into the count and covered range — so an
-// evicted batch's own markers survive into the replacement marker.
-func tallyPrefixed(payload []byte) (count uint64, firstTS, lastTS int64) {
-	first := true
-	note := func(ts int64) {
-		if first {
-			firstTS, lastTS, first = ts, ts, false
-			return
-		}
-		if ts < firstTS {
-			firstTS = ts
-		}
-		if ts > lastTS {
-			lastTS = ts
-		}
-	}
-	for len(payload) >= 4 {
-		payload = payload[4:]
-		rec, n, err := record.Decode(payload)
-		if err != nil || n == 0 {
-			break
-		}
-		payload = payload[n:]
-		if c, f, l, ok := record.LossInfo(&rec); ok {
-			count += c
-			note(f)
-			note(l)
-			continue
-		}
-		count++
-		if rec.HasTS {
-			note(rec.TS)
-		}
-	}
-	return count, firstTS, lastTS
-}
-
-// addLossLocked folds evicted records into the pending-loss
-// accumulator. Caller holds qMu.
-func (r *Relay) addLossLocked(count uint64, firstTS, lastTS int64) {
 	if count == 0 {
 		return
 	}
-	if r.lossCount == 0 {
-		r.lossFirst, r.lossLast = firstTS, lastTS
-	} else {
-		if firstTS < r.lossFirst {
-			r.lossFirst = firstTS
-		}
-		if lastTS > r.lossLast {
-			r.lossLast = lastTS
-		}
-	}
-	r.lossCount += count
-}
-
-// maxFreeBufs bounds the recycled-payload free list.
-const maxFreeBufs = 8
-
-// recycleBuf returns an acked or evicted payload's storage to the free
-// list. Caller holds qMu.
-func (r *Relay) recycleBuf(b []byte) {
-	if b != nil && len(r.freeBufs) < maxFreeBufs {
-		r.freeBufs = append(r.freeBufs, b[:0])
-	}
-}
-
-// applyWindow installs a parent credit grant; 0 disables flow control.
-func (r *Relay) applyWindow(w uint32) {
-	r.qMu.Lock()
-	if w == 0 {
-		r.creditOn, r.creditW = false, 0
-	} else {
-		r.creditOn, r.creditW = true, int64(w)
-	}
-	r.qMu.Unlock()
-}
-
-// pump writes every not-yet-sent sealed batch to c in sequence order,
-// within the parent's credit window (the first batch is always
-// sendable, as in the sensor pump).
-func (r *Relay) pump(c *wire.Conn) error {
-	r.qMu.Lock()
-	defer r.qMu.Unlock()
-	blocked := false
-	for i := range r.queue {
-		ent := &r.queue[i]
-		if ent.sent {
-			continue
-		}
-		if r.creditOn && r.inflight > 0 && r.inflight+int64(ent.count) > r.creditW {
-			blocked = true
-			if !r.stalled {
-				r.stalled = true
-				r.creditStalls.Inc()
-			}
-			break
-		}
-		msg := &wire.RelayBatch{Seq: ent.seq, Count: uint32(ent.count), Payload: ent.payload}
-		if err := c.Send(msg); err != nil {
-			return err
-		}
-		ent.sent = true
-		r.inflight += int64(ent.count)
-		r.batches.Inc()
-		if ent.everSent {
-			r.retransmits.Inc()
-		} else {
-			ent.everSent = true
-			r.shipped.Add(uint64(ent.count))
-		}
-	}
-	if !blocked {
-		r.stalled = false
-	}
-	return nil
-}
-
-// ackTo releases every sealed batch with sequence ≤ seq.
-func (r *Relay) ackTo(seq uint64) {
-	r.qMu.Lock()
-	for len(r.queue) > 0 && r.queue[0].seq <= seq {
-		ent := r.queue[0]
-		if ent.sent {
-			r.inflight -= int64(ent.count)
-		}
-		r.qBytes -= len(ent.payload)
-		r.recycleBuf(ent.payload)
-		r.backlog.Add(-int64(ent.count))
-		r.queue = r.queue[1:]
-	}
-	if len(r.queue) == 0 {
-		r.queue = nil
-	}
-	if r.inflight < 0 {
-		r.inflight = 0
-	}
-	r.qMu.Unlock()
-}
-
-// liveConn returns the current uplink connection, or nil.
-func (r *Relay) liveConn() *wire.Conn {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	return r.conn
-}
-
-// markDisconnected tears the uplink down (if c is still current), flags
-// queued batches for retransmission and wakes the reconnector.
-func (r *Relay) markDisconnected(c *wire.Conn, err error) {
-	r.connMu.Lock()
-	if r.conn != c || c == nil {
-		r.connMu.Unlock()
-		return
-	}
-	raw := r.raw
-	r.conn, r.raw = nil, nil
-	r.connMu.Unlock()
-	raw.Close()
-	r.resetTransmitState()
-	if r.closed.Load() {
-		return
-	}
-	if r.state.CompareAndSwap(stateOnline, stateReconnecting) {
-		r.logf("relay: parent connection lost (%v), reconnecting", err)
-	}
-	select {
-	case r.reconnectCh <- struct{}{}:
-	default:
-	}
-}
-
-// resetTransmitState flags every sealed batch for retransmission and
-// clears the in-flight window. It must run whenever an uplink connection
-// is abandoned — including a redial whose replay pump failed before the
-// link went online. A batch left marked sent would be skipped by the
-// next replay, and the parent's cumulative ack for a later sequence
-// (gaps are legal: eviction creates them) would release it undelivered.
-func (r *Relay) resetTransmitState() {
-	r.qMu.Lock()
-	for i := range r.queue {
-		r.queue[i].sent = false
-	}
-	r.inflight = 0
-	r.stalled = false
-	r.qMu.Unlock()
-}
-
-// markDead gives up on the parent permanently: the queue is discarded
-// (counted) and forwarding degrades to accumulating then evicting.
-func (r *Relay) markDead(reason string) {
-	if r.state.Swap(stateDead) == stateDead {
-		return
-	}
-	r.qMu.Lock()
-	var lost uint64
-	for _, ent := range r.queue {
-		lost += uint64(ent.count)
-		r.backlog.Add(-int64(ent.count))
-	}
-	r.queue, r.qBytes = nil, 0
-	r.inflight = 0
-	r.stalled = false
-	r.qMu.Unlock()
-	if lost > 0 {
-		r.dropped.Add(lost)
-	}
-	if !r.closed.Load() {
-		r.logf("relay: giving up on parent (%s), discarding forwarded records", reason)
-	}
-}
-
-// backoffDelay computes the exponential-backoff delay for the 0-based
-// attempt: base·2^attempt capped at max with ±20% jitter.
-func (r *Relay) backoffDelay(attempt int) time.Duration {
-	d := r.cfg.ReconnectBase
-	for i := 0; i < attempt && d < r.cfg.ReconnectMax; i++ {
-		d *= 2
-	}
-	if d > r.cfg.ReconnectMax {
-		d = r.cfg.ReconnectMax
-	}
-	r.rngMu.Lock()
-	f := 1 + 0.2*(2*r.jitterRand()-1)
-	r.rngMu.Unlock()
-	d = time.Duration(float64(d) * f)
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
-// reconnector owns redialing the parent: backoff, HELLO with resume,
-// trim to the parent's resume point, replay, then back online.
-func (r *Relay) reconnector() {
-	defer r.wgCtl.Done()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.reconnectCh:
-		}
-		if r.state.Load() != stateReconnecting {
-			continue
-		}
-		if !r.reconnectLoop() {
-			return
-		}
-	}
-}
-
-// reconnectLoop runs one outage's retry schedule; false means the
-// reconnector should exit (shutdown or permanent give-up).
-func (r *Relay) reconnectLoop() bool {
-	max := r.cfg.MaxReconnectAttempts
-	for attempt := 0; ; attempt++ {
-		if max >= 0 && attempt >= max {
-			r.markDead(fmt.Sprintf("retry cap %d reached", max))
-			return false
-		}
-		timer := time.NewTimer(r.backoffDelay(attempt))
-		select {
-		case <-r.done:
-			timer.Stop()
-			return false
-		case <-timer.C:
-		}
-		raw, conn, ack, err := r.connect(true)
-		if err != nil {
-			continue
-		}
-		r.node.Store(ack.Node)
-		r.applyWindow(ack.Window)
-		if ack.Resumed {
-			r.ackTo(ack.LastSeq)
-		}
-		// A replay failure abandons a connection markDisconnected never
-		// saw (r.conn is still nil): re-flag the batches this pump wrote
-		// into the dead socket, or the next replay would skip them.
-		if err := r.pump(conn); err != nil {
-			raw.Close()
-			r.resetTransmitState()
-			continue
-		}
-		r.connMu.Lock()
-		r.raw, r.conn = raw, conn
-		r.connMu.Unlock()
-		r.state.Store(stateOnline)
-		r.reconnects.Inc()
-		r.logf("relay: reconnected to parent as node %d (resumed=%v)", ack.Node, ack.Resumed)
-		r.wgCtl.Add(1)
-		go r.controlLoop(conn)
-		if err := r.pump(conn); err != nil {
-			r.markDisconnected(conn, err)
-		}
-		return true
-	}
+	r.up.Enqueue(payload, count)
+	r.cur, r.curCount = r.cur[:0], 0
 }
 
 // flushLoop seals aged partial batches and pumps the queue, on the
@@ -853,102 +417,34 @@ func (r *Relay) flushLoop() {
 			return
 		case <-r.flushNow:
 		case <-ticker.C:
-			r.qMu.Lock()
+			r.mu.Lock()
 			r.sealLocked()
-			r.qMu.Unlock()
+			r.mu.Unlock()
 		}
-		if c := r.liveConn(); c != nil {
-			if err := r.pump(c); err != nil {
-				r.markDisconnected(c, err)
-			}
-		}
-	}
-}
-
-// controlLoop serves one uplink connection's inbound frames: the
-// parent's sync probes and adjustments (this hop's clock correction),
-// acks, and heartbeats.
-func (r *Relay) controlLoop(c *wire.Conn) {
-	defer r.wgCtl.Done()
-	for {
-		msg, err := c.Recv()
-		if err != nil {
-			if !r.closed.Load() {
-				r.markDisconnected(c, err)
-			}
-			return
-		}
-		switch t := msg.(type) {
-		case *wire.Probe:
-			r.probes.Inc()
-			reply := &wire.ProbeReply{
-				Seq:        t.Seq,
-				MasterSend: t.MasterSend,
-				SlaveTime:  r.clock.NowMicros(),
-			}
-			if err := c.Send(reply); err != nil {
-				r.markDisconnected(c, err)
-				return
-			}
-		case *wire.Adjust:
-			r.adjusts.Inc()
-			r.clock.Adjust(t.DeltaMicros)
-			if t.RatePPB >= 0 {
-				// Model-based parent: this hop's correction extrapolates
-				// between the parent's probes, and composes additively
-				// with the child tier exactly like step corrections.
-				r.clock.SetRatePPM(float64(t.RatePPB) / 1000)
-			}
-		case *wire.DataAck:
-			r.ackTo(t.Seq)
-			r.applyWindow(t.Window)
-			if err := r.pump(c); err != nil {
-				r.markDisconnected(c, err)
-				return
-			}
-		case *wire.Ping:
-			if err := c.Send(&wire.Pong{Seq: t.Seq}); err != nil {
-				r.markDisconnected(c, err)
-				return
-			}
-		case *wire.Bye:
-			r.markDisconnected(c, errors.New("parent sent BYE"))
-			return
-		default:
-			r.logf("relay: unexpected %v from parent", msg.Type())
-			r.markDisconnected(c, fmt.Errorf("unexpected %v", msg.Type()))
-			return
-		}
+		r.up.Pump()
 	}
 }
 
 // Stats returns a snapshot of the relay counters.
 func (r *Relay) Stats() Stats {
-	r.qMu.Lock()
-	queued := r.qBytes
-	creditW := int64(-1)
-	if r.creditOn {
-		creditW = r.creditW
-	}
-	r.qMu.Unlock()
 	return Stats{
-		Node:           r.node.Load(),
-		Session:        r.session,
-		Online:         r.state.Load() == stateOnline,
+		Node:           r.up.Node(),
+		Session:        r.up.Session(),
+		Online:         r.up.Online(),
 		Forwarded:      r.forwarded.Value(),
-		Shipped:        r.shipped.Value(),
-		Batches:        r.batches.Value(),
-		Retransmits:    r.retransmits.Value(),
-		Reconnects:     r.reconnects.Value(),
-		Dropped:        r.dropped.Value(),
+		Shipped:        r.link.Sent.Value(),
+		Batches:        r.link.Batches.Value(),
+		Retransmits:    r.link.Retransmits.Value(),
+		Reconnects:     r.link.Reconnects.Value(),
+		Dropped:        r.link.Dropped.Value(),
 		LossMarkers:    r.lossMarkersC.Value(),
 		MarkedLost:     r.markedLostC.Value(),
 		BacklogRecords: r.backlog.Load(),
-		QueuedBytes:    queued,
-		CreditWindow:   creditW,
-		CreditStalls:   r.creditStalls.Value(),
-		Probes:         r.probes.Value(),
-		Adjusts:        r.adjusts.Value(),
+		QueuedBytes:    r.up.QueuedBytes(),
+		CreditWindow:   r.up.CreditWindow(),
+		CreditStalls:   r.link.CreditStalls.Value(),
+		Probes:         r.link.Probes.Value(),
+		Adjusts:        r.link.Adjusts.Value(),
 		Correction:     r.clock.Correction(),
 		ISM:            r.mgr.Stats(),
 	}
@@ -958,58 +454,23 @@ func (r *Relay) Stats() Stats {
 // (severing leaf sessions and flushing its sorter through the Forward
 // tap), then the uplink tail is sealed and pumped, acknowledged batches
 // are awaited (bounded), and the parent link closes with a BYE. Records
-// the parent never acknowledged are counted as dropped.
+// the parent never acknowledged are counted as dropped. The whole
+// sequence runs inside the sender's Close, so a parent that stopped
+// reading or a redial in progress cannot hold it up.
 func (r *Relay) Close() error {
-	if r.closed.Swap(true) {
-		return nil
-	}
-	// Downstream flush: every record acked to a leaf is now either
-	// emitted (and so in the uplink) or represented by a marker.
-	err := r.mgr.Close()
-	r.qMu.Lock()
-	r.sealLocked()
-	r.qMu.Unlock()
-	if c := r.liveConn(); c != nil {
-		if perr := r.pump(c); perr != nil {
-			r.markDisconnected(c, perr)
-		}
-	}
-	// Wait (bounded) for the parent to acknowledge the tail; closing the
-	// socket with acks in flight would reset the final batches out of
-	// the parent's receive buffer.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		r.qMu.Lock()
-		empty := len(r.queue) == 0 && r.curCount == 0 && r.lossCount == 0
-		r.qMu.Unlock()
-		if empty || r.state.Load() != stateOnline || r.liveConn() == nil {
-			break
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	close(r.done)
-	r.wgFlush.Wait()
-	r.connMu.Lock()
-	c, raw := r.conn, r.raw
-	r.conn, r.raw = nil, nil
-	r.connMu.Unlock()
-	if c != nil {
-		_ = c.Send(&wire.Bye{})
-		if cerr := raw.Close(); err == nil {
-			err = cerr
-		}
-	}
-	r.wgCtl.Wait()
-	r.qMu.Lock()
-	var lost uint64
-	for _, ent := range r.queue {
-		lost += uint64(ent.count)
-		r.backlog.Add(-int64(ent.count))
-	}
-	r.queue, r.qBytes = nil, 0
-	r.qMu.Unlock()
-	if lost > 0 {
-		r.dropped.Add(lost)
+	var err error
+	cerr := r.up.Close(func() {
+		// Downstream flush: every record acked to a leaf is now either
+		// emitted (and so in the uplink) or represented by a marker.
+		err = r.mgr.Close()
+		close(r.done)
+		r.wgFlush.Wait()
+		r.mu.Lock()
+		r.sealLocked()
+		r.mu.Unlock()
+	})
+	if err == nil {
+		err = cerr
 	}
 	return err
 }

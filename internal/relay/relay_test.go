@@ -2,8 +2,8 @@ package relay
 
 import (
 	"fmt"
-	mrand "math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -445,45 +445,6 @@ func TestRelayConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTallyPrefixed checks the eviction tally folds nested markers
-// instead of counting them as single records.
-func TestTallyPrefixed(t *testing.T) {
-	var payload []byte
-	var err error
-	add := func(rec record.Record) {
-		payload = append(payload, 0, 0, 0, 9)
-		payload, err = rec.Append(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(record.New(1, record.TSVal(100), record.I32Val(1)))
-	add(record.New(1, record.TSVal(700), record.I32Val(2)))
-	add(record.NewLossMarker(5, 40, 90))
-	count, first, last := tallyPrefixed(payload)
-	if count != 7 {
-		t.Fatalf("tally count %d, want 7 (2 data + 5 marker-covered)", count)
-	}
-	if first != 40 || last != 700 {
-		t.Fatalf("tally range [%d,%d], want [40,700]", first, last)
-	}
-	if c, f, l := tallyPrefixed(nil); c != 0 || f != 0 || l != 0 {
-		t.Fatalf("empty tally = (%d,%d,%d)", c, f, l)
-	}
-}
-
-// TestBackoffDelayBounds pins the retry schedule's envelope.
-func TestBackoffDelayBounds(t *testing.T) {
-	r := &Relay{cfg: Config{ReconnectBase: 10 * time.Millisecond, ReconnectMax: 80 * time.Millisecond}}
-	r.jitterRand = mrand.New(mrand.NewSource(1)).Float64
-	for attempt := 0; attempt < 10; attempt++ {
-		d := r.backoffDelay(attempt)
-		if d < time.Millisecond || d > time.Duration(1.2*float64(80*time.Millisecond)) {
-			t.Fatalf("attempt %d: delay %v outside envelope", attempt, d)
-		}
-	}
-}
-
 // Stats stringer smoke so failures print usefully.
 func TestStatsSnapshot(t *testing.T) {
 	root := newRoot(t, nil)
@@ -500,4 +461,158 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.CreditWindow == 0 {
 		t.Errorf("credit window %d: 0 is neither a grant nor the -1 no-flow-control marker", st.CreditWindow)
 	}
+}
+
+// TestReconnectRandReachesLiveRelay verifies New wires Config's source
+// into the running relay: an outage's backoff draws from it.
+func TestReconnectRandReachesLiveRelay(t *testing.T) {
+	root := newRoot(t, nil)
+	defer root.Close()
+	var calls atomic.Int64
+	rl, err := New(Config{
+		Addr:                 "127.0.0.1:0",
+		Parent:               root.Addr(),
+		ISM:                  testISM(),
+		ReconnectBase:        2 * time.Millisecond,
+		ReconnectMax:         10 * time.Millisecond,
+		MaxReconnectAttempts: 2,
+		ReconnectRand:        func() float64 { calls.Add(1); return 0.5 },
+		Logf:                 quietLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	root.Close() // sever the parent: the uplink enters its retry schedule
+	deadline := time.Now().Add(10 * time.Second)
+	for calls.Load() == 0 {
+		if !time.Now().Before(deadline) {
+			t.Fatal("outage backoff never drew from the injected jitter source")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// closeWithin runs rl.Close on its own goroutine and fails the test if it
+// has not returned by the limit.
+func closeWithin(t *testing.T, rl *Relay, limit time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() { rl.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(limit):
+		t.Fatalf("Relay.Close still blocked after %v", limit)
+	}
+}
+
+// TestRelayCloseBoundedAgainstStalledParent wedges the uplink the way a
+// hung parent does — the link stays open but nothing is read, so the
+// socket buffers fill and the uplink pump blocks mid-write — and checks
+// Close still returns within the sender's grace period instead of waiting
+// forever on that write. What the parent never took is counted dropped.
+func TestRelayCloseBoundedAgainstStalledParent(t *testing.T) {
+	root := newRoot(t, nil)
+	defer root.Close()
+	proxy, err := faultnet.Listen(root.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	rl, err := New(Config{
+		Addr:          "127.0.0.1:0",
+		Parent:        proxy.Addr(),
+		ISM:           testISM(),
+		FlushInterval: time.Millisecond,
+		Logf:          quietLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy.Stall(true)
+
+	// Flood far more than the loopback socket buffers between the relay
+	// and the stalled proxy can hold (a few MiB each way once autotuned).
+	// Once the uplink wedges, back-pressure reaches the leaf and its own
+	// writes block, so the flood runs beside the test.
+	leaf := dialLeaf(t, rl.Addr(), 0xE1)
+	go func() { // keep the leaf's acks drained
+		for {
+			if _, err := leaf.conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	var payload []byte
+	for i := 0; i < 16; i++ {
+		rec := record.New(5, record.TSVal(time.Now().UnixMicro()), record.StrVal(string(make([]byte, 4000))))
+		if payload, err = rec.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const batches = 512 // ≈ 32 MiB
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		for seq := uint64(1); seq <= batches; seq++ {
+			if leaf.conn.Send(&wire.DataBatch{Seq: seq, Count: 16, Payload: payload}) != nil {
+				return
+			}
+		}
+	}()
+	// The uplink pump is wedged once forwarding stops moving.
+	last, stable := rl.forwarded.Value(), time.Now()
+	for time.Since(stable) < 300*time.Millisecond {
+		time.Sleep(10 * time.Millisecond)
+		if now := rl.forwarded.Value(); now != last || now == 0 {
+			last, stable = now, time.Now()
+		}
+	}
+	if last == batches*16 {
+		t.Skip("socket buffers swallowed the whole flood; cannot wedge the uplink on this host")
+	}
+
+	closeWithin(t, rl, 6*time.Second)
+	leaf.raw.Close()
+	<-flooded
+	if st := rl.Stats(); st.Dropped == 0 || st.BacklogRecords != 0 {
+		t.Fatalf("undeliverable tail not accounted: %+v", st)
+	}
+}
+
+// TestRelayCloseAbortsSilentRedial closes a relay whose uplink is midway
+// through a redial that reached a peer which accepts and then says
+// nothing (a black-holed handshake). Close must cut the attempt short
+// rather than sit out DialTimeout.
+func TestRelayCloseAbortsSilentRedial(t *testing.T) {
+	root := newRoot(t, nil)
+	defer root.Close()
+	proxy, err := faultnet.Listen(root.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	rl, err := New(Config{
+		Addr:                 "127.0.0.1:0",
+		Parent:               proxy.Addr(),
+		ISM:                  testISM(),
+		DialTimeout:          time.Minute,
+		ReconnectBase:        2 * time.Millisecond,
+		ReconnectMax:         10 * time.Millisecond,
+		MaxReconnectAttempts: -1,
+		Logf:                 quietLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy.Stall(true) // new links are accepted, then relay nothing
+	proxy.CutNow()
+	deadline := time.Now().Add(10 * time.Second)
+	for proxy.Accepted() < 2 { // the redial is in: its HELLO will never be answered
+		if !time.Now().Before(deadline) {
+			t.Fatal("relay never redialed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closeWithin(t, rl, 5*time.Second)
 }

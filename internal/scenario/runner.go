@@ -401,14 +401,14 @@ func RunCell(c *Cell, timeoutOverride time.Duration) (res CellResult) {
 	// Wait for every sensor to drain its queue (manager acked everything
 	// it will ever ack), then close them so final batches ship.
 	for i, n := range nodes {
-		for time.Now().Before(deadline) {
-			st := n.exs.Stats()
-			if st.Online && st.QueuedBytes == 0 {
-				break
-			}
+		// Judge the snapshot that ended the wait: a fresh one can catch a
+		// late batch (a quiescent loss marker, say) in flight again.
+		st := n.exs.Stats()
+		for (!st.Online || st.QueuedBytes != 0) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
+			st = n.exs.Stats()
 		}
-		if st := n.exs.Stats(); !st.Online || st.QueuedBytes != 0 {
+		if !st.Online || st.QueuedBytes != 0 {
 			fail("node %d never drained: online=%v queued=%d reconnects=%d", i, st.Online, st.QueuedBytes, st.Reconnects)
 		}
 	}

@@ -34,11 +34,9 @@ type NodeOptions struct {
 	// ReconnectBase is the first backoff delay after a lost manager
 	// connection; it doubles per failed attempt (default 50 ms).
 	ReconnectBase time.Duration
-	// ReconnectMax caps the exponential backoff (default 5 s).
+	// ReconnectMax caps the exponential backoff (default 5 s); every
+	// delay carries ±20% jitter so a fleet does not redial in lockstep.
 	ReconnectMax time.Duration
-	// ReconnectJitter is the ± jitter fraction on each backoff delay
-	// (default 0.2; negative disables).
-	ReconnectJitter float64
 	// MaxReconnectAttempts caps failed reconnect attempts per outage
 	// before the node degrades to drain-and-discard. 0 means the default
 	// cap; negative retries forever.
@@ -107,7 +105,6 @@ func ConnectNodeContext(ctx context.Context, opts NodeOptions) (*Node, error) {
 		PollInterval:         opts.PollInterval,
 		ReconnectBase:        opts.ReconnectBase,
 		ReconnectMax:         opts.ReconnectMax,
-		ReconnectJitter:      opts.ReconnectJitter,
 		MaxReconnectAttempts: opts.MaxReconnectAttempts,
 		SpillBytes:           opts.SpillBytes,
 		Logf:                 opts.Logf,
