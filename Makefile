@@ -71,14 +71,18 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Performance-regression gate: the zero-allocation contracts (exact, via
-# testing.AllocsPerRun), the short ingest benchmark compared against the
+# testing.AllocsPerRun; in internal/ols they include the whole byte path
+# scan → push → extract → sink-encode on both cores, in internal/record
+# the batch scanner), the short ingest benchmark compared against the
 # committed baseline — fails on >BENCH_MAXLOSS fractional throughput loss
 # or on any real allocs-per-record growth — and the sorter-stage matrix
 # over cores {calendar, heap} × shards {1, 4}: the calendar core must
 # scale ≥1.5× at 4 shards and beat the heap core ≥1.3× single-shard
 # (both skipped below 4 CPUs; skipped rows are announced but omitted
-# from the JSON body). Writes the current numbers to BENCH_current.json
-# (gitignored; CI uploads it as an artifact).
+# from the JSON body). Also reports, without gating on it, each
+# sorter-stage row's throughput over the ingest stage's ("ratios" in the
+# JSON). Writes the current numbers to BENCH_current.json (gitignored; CI
+# uploads it as an artifact).
 bench-check:
 	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)
@@ -110,17 +114,20 @@ scenario-full:
 	$(GO) run ./cmd/briskbench matrix -scenarios scenarios -filter full -out BENCH_scenarios_full.json
 
 # Ten-second fuzz smokes of the decoders that ingest untrusted or
-# hand-edited bytes: the data-batch frame decoder (every sensor link) and
-# the scenario-spec parser (every scenarios/*.json file). Quick enough to
-# sit in the default gate.
+# hand-edited bytes: the data-batch frame decoder (every sensor link), the
+# record scanner the manager validates every ingested record with (held
+# to the reference decoder it replaced), and the scenario-spec parser
+# (every scenarios/*.json file). Quick enough to sit in the default gate.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDataBatch -fuzztime 10s -run '^$$' ./internal/wire/
+	$(GO) test -fuzz FuzzScanVsDecode -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime 10s -run '^$$' ./internal/scenario/
 	$(GO) test -fuzz FuzzFilterExpr -fuzztime 10s -run '^$$' ./internal/subscribe/
 
 # Short fuzzing pass over the decoders.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/record/
+	$(GO) test -fuzz FuzzScanVsDecode -fuzztime 30s ./internal/record/
 	$(GO) test -fuzz FuzzRecv -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzDataBatch -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzReader -fuzztime 30s ./internal/picl/

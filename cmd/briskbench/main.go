@@ -254,7 +254,7 @@ func runIngest(args []string) error {
 	}
 	bench.IngestTable(rows).Render(os.Stdout)
 	if *jsonPath != "" {
-		return bench.WriteBenchFile(*jsonPath, rows)
+		return bench.WriteBenchFile(*jsonPath, rows, nil)
 	}
 	return nil
 }
@@ -424,6 +424,9 @@ func runBenchGate(args []string) error {
 		}
 	}
 	bench.SorterTable(srows).Render(os.Stdout)
+	ratios := bench.SorterIngestRatios(rows, srows)
+	fmt.Println()
+	bench.RatioTable(ratios).Render(os.Stdout)
 	// The relay-hop row prices federated delivery (leaf→relay→root) at
 	// the largest baseline session count. It is informational this round:
 	// CompareBench only gates rows named in the baseline, so the row
@@ -444,7 +447,7 @@ func runBenchGate(args []string) error {
 	if *out != "" {
 		all := append(append([]bench.IngestResult{}, rows...), srows...)
 		all = append(all, rrow)
-		if err := bench.WriteBenchFile(*out, all); err != nil {
+		if err := bench.WriteBenchFile(*out, all, ratios); err != nil {
 			return err
 		}
 	}

@@ -46,6 +46,9 @@ type BenchFile struct {
 	// was recorded.
 	Env     *BenchEnv      `json:"env,omitempty"`
 	Results []IngestResult `json:"results"`
+	// Ratios are derived, non-gating comparisons between result rows
+	// (see SorterIngestRatios); absent from the committed baseline.
+	Ratios []StageRatio `json:"ratios,omitempty"`
 }
 
 // BenchSchema versions the BenchFile layout.
@@ -94,7 +97,7 @@ func IngestTable(rows []IngestResult) *Table {
 // `records: 0` row in the JSON invites downstream tooling to divide by
 // zero; the skip reason still appears on the rendered table and in the
 // gate's log.
-func WriteBenchFile(path string, results []IngestResult) error {
+func WriteBenchFile(path string, results []IngestResult, ratios []StageRatio) error {
 	kept := make([]IngestResult, 0, len(results))
 	for _, r := range results {
 		if r.Skipped == "" {
@@ -105,6 +108,7 @@ func WriteBenchFile(path string, results []IngestResult) error {
 		Schema:  BenchSchema,
 		Env:     &BenchEnv{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
 		Results: kept,
+		Ratios:  ratios,
 	}
 	b, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {

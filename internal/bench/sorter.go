@@ -10,14 +10,19 @@ import (
 	"brisk/internal/record"
 )
 
+// sorterBatch is how many records a pusher hands the sorter per call,
+// the size of the wire batches the manager's decode workers push.
+const sorterBatch = 256
+
 // RunSorterStage measures the on-line sorter stage in isolation: `sources`
-// parallel pushers feed pre-built records into a sharded sorter while a
-// single merger loop extracts the k-way-merged output, mirroring the
-// manager's decode-workers/merger split without the wire and decode cost.
-// This is the number that should scale with shard count on multi-core
-// machines; the end-to-end ingest benchmark dilutes it with TCP and
-// decode work. The core axis (calendar vs heap) isolates the per-shard
-// data-structure cost on the same workload.
+// parallel pushers feed batches of scanned, encoded-body records — what a
+// decode worker holds after record.ScanAppend — into a sharded sorter
+// through PushBatch while a single merger loop extracts the
+// k-way-merged output, mirroring the manager's decode-workers/merger
+// split without the wire and scan cost. This is the number that should
+// scale with shard count on multi-core machines; the end-to-end ingest
+// benchmark dilutes it with TCP and scan work. The core axis (calendar vs
+// heap) isolates the per-shard data-structure cost on the same workload.
 func RunSorterStage(core ols.CoreKind, shards, sources, perSource int) (IngestResult, error) {
 	if shards <= 0 {
 		shards = 1
@@ -34,12 +39,23 @@ func RunSorterStage(core ols.CoreKind, shards, sources, perSource int) (IngestRe
 	// arrives, so the merger is always busy and the measurement is pure
 	// sorter+merge throughput, not window latency.
 	sh := ols.NewSharded(ols.Config{InitialT: 1, Grow: ols.GrowFixed, Core: core}, shards)
-	protos := make([]record.Record, sources)
-	for i := range protos {
-		protos[i] = record.New(1,
+	batches := make([][]record.Record, sources)
+	for i := range batches {
+		proto := record.New(1,
 			record.TSVal(0),
 			record.I32Val(int32(i)), record.I32Val(2), record.I32Val(3),
 			record.I32Val(4), record.I32Val(5), record.I32Val(6))
+		var payload []byte
+		for j := 0; j < sorterBatch; j++ {
+			var err error
+			if payload, err = proto.Append(payload); err != nil {
+				return IngestResult{}, err
+			}
+		}
+		var err error
+		if batches[i], err = record.ScanAppend(nil, payload); err != nil {
+			return IngestResult{}, err
+		}
 	}
 
 	var ms0, ms1 runtime.MemStats
@@ -51,13 +67,17 @@ func RunSorterStage(core ols.CoreKind, shards, sources, perSource int) (IngestRe
 		wg.Add(1)
 		go func(src int32) {
 			defer wg.Done()
-			r := protos[src-1]
-			for i := 0; i < perSource; i++ {
+			for i := 0; i < perSource; i += sorterBatch {
+				batch := batches[src-1][:min(sorterBatch, perSource-i)]
 				// Interleaved globally-unique timestamps, already aged
-				// far past T at push time.
-				ts := int64(i)*int64(sources) + int64(src)
-				r.SetTS(ts)
-				sh.Push(src, r, ts+1_000_000)
+				// far past T at push time. Only the header moves; the
+				// sorter patches it into its copy of the bytes.
+				var ts int64
+				for j := range batch {
+					ts = int64(i+j)*int64(sources) + int64(src)
+					batch[j].SetTS(ts)
+				}
+				sh.PushBatch(src, batch, ts+1_000_000)
 			}
 		}(src)
 	}
@@ -131,6 +151,54 @@ func SorterTable(rows []IngestResult) *Table {
 		t.Add(r.Core, r.Shards, r.Sessions, r.Records,
 			(time.Duration(r.ElapsedMicros) * time.Microsecond).Round(time.Millisecond),
 			r.RecordsPerSec, r.AllocsPerRecord)
+	}
+	return t
+}
+
+// StageRatio compares two benchmark rows' throughputs: Ratio is the
+// numerator row's records/s over the denominator row's.
+type StageRatio struct {
+	Name        string  `json:"name"`
+	Numerator   string  `json:"numerator"`
+	Denominator string  `json:"denominator"`
+	Ratio       float64 `json:"ratio"`
+}
+
+// SorterIngestRatios prices every sorter-stage row against the ingest
+// stage: its throughput over that of the fastest ingest row. ROADMAP's
+// sorter-parity item asks for this to reach 1 on the whole core × shard
+// matrix; until it gates, the rows are reported beside the numbers they
+// derive from.
+func SorterIngestRatios(ingest, sorter []IngestResult) []StageRatio {
+	var best IngestResult
+	for _, r := range ingest {
+		if r.Skipped == "" && r.RecordsPerSec > best.RecordsPerSec {
+			best = r
+		}
+	}
+	var out []StageRatio
+	for _, r := range sorter {
+		if r.Skipped != "" || best.RecordsPerSec == 0 {
+			continue
+		}
+		out = append(out, StageRatio{
+			Name:        "sorter-over-ingest/" + r.Core + fmt.Sprintf("/shards=%d", r.Shards),
+			Numerator:   r.Name,
+			Denominator: best.Name,
+			Ratio:       r.RecordsPerSec / best.RecordsPerSec,
+		})
+	}
+	return out
+}
+
+// RatioTable renders stage ratios.
+func RatioTable(rows []StageRatio) *Table {
+	t := &Table{
+		Title:  "sorter stage ÷ ingest stage (not gating; parity is 1.00)",
+		Header: []string{"ratio", "sorter row", "ingest row", "sorter/ingest"},
+	}
+	for _, r := range rows {
+		t.Add(r.Name, r.Numerator, r.Denominator, r.Ratio)
 	}
 	return t
 }

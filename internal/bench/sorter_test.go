@@ -28,14 +28,24 @@ func TestRunSorterStageBothCores(t *testing.T) {
 
 // TestWriteBenchFileOmitsSkippedRows pins the bugfix: a skipped
 // configuration is announced on the rendered table but never written to
-// the JSON body, so downstream tooling cannot divide by its zero counts.
+// the JSON body, so downstream tooling cannot divide by its zero counts —
+// and the sorter÷ingest ratio rows, which are such a division, are
+// derived from measured rows only and round-trip through the file.
 func TestWriteBenchFileOmitsSkippedRows(t *testing.T) {
 	path := t.TempDir() + "/bench.json"
-	rows := []IngestResult{
-		{Name: "sorter/calendar/shards=1", Records: 100, RecordsPerSec: 1},
-		{Name: "sorter/calendar/shards=4", Skipped: "GOMAXPROCS=1 < 4"},
+	ingest := []IngestResult{
+		{Name: "ingest/sessions=1", Records: 100, RecordsPerSec: 4},
+		{Name: "ingest/sessions=8", Records: 100, RecordsPerSec: 8},
 	}
-	if err := WriteBenchFile(path, rows); err != nil {
+	rows := []IngestResult{
+		{Name: "sorter/calendar/shards=1", Core: "calendar", Shards: 1, Records: 100, RecordsPerSec: 2},
+		{Name: "sorter/calendar/shards=4", Core: "calendar", Shards: 4, Skipped: "GOMAXPROCS=1 < 4"},
+	}
+	ratios := SorterIngestRatios(ingest, rows)
+	if len(ratios) != 1 || ratios[0].Ratio != 0.25 || ratios[0].Numerator != rows[0].Name || ratios[0].Denominator != "ingest/sessions=8" {
+		t.Fatalf("ratios %+v, want the one measured sorter row over the fastest ingest row", ratios)
+	}
+	if err := WriteBenchFile(path, rows, ratios); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadBenchFile(path)
@@ -44,6 +54,9 @@ func TestWriteBenchFileOmitsSkippedRows(t *testing.T) {
 	}
 	if len(f.Results) != 1 || f.Results[0].Name != "sorter/calendar/shards=1" {
 		t.Fatalf("bench file kept %+v, want only the measured row", f.Results)
+	}
+	if len(f.Ratios) != 1 || f.Ratios[0] != ratios[0] {
+		t.Fatalf("bench file ratios %+v, want %+v", f.Ratios, ratios)
 	}
 }
 

@@ -14,6 +14,11 @@
 //     immediately (the OnTachyon hook).
 //   - A causally-marked record of either type is kept no longer than a
 //     configured timeout, because its peer may have been dropped.
+//
+// The matcher reads only a record's header — its Reason and Conseq
+// identifiers and its timestamp — and repairs through it: SetTS on an
+// encoded-body record changes the header alone, and the sink's Append
+// patches the bytes. Field values are never decoded here.
 package cre
 
 import (
@@ -135,8 +140,8 @@ func (m *Matcher) Process(rec record.Record, now int64, emit func(record.Record)
 			return
 		}
 		// Reason not seen yet: keep the consequence in memory. The record
-		// borrows sorter-owned Fields storage that a later push reuses, so
-		// holding it across Process calls requires a private copy.
+		// borrows sorter-owned bytes that a later push reuses, so holding
+		// it across Process calls requires a private copy.
 		h := heldConseq{rec: rec, deadline: now + m.cfg.Timeout}
 		h.rec.Detach()
 		m.held[id] = append(m.held[id], h)

@@ -369,6 +369,9 @@ type Manager struct {
 	sinkBufs  [][]byte
 	emitNow   int64 // manager clock for the current merge event
 	sinkBatch int
+	// fieldBuf takes the one decode a sink-bound record gets when a
+	// filter, the PICL log or a visual object reads its field values.
+	fieldBuf [record.MaxFields]record.Value
 
 	workersLive atomic.Int64
 	queueStalls *metrics.Counter
@@ -429,16 +432,20 @@ const (
 	stageSinkDeliver        // record delivered to the sinks
 )
 
-// srcBatch hands one decoded batch from a session's decode worker to the
-// merge goroutine. The batch pointer comes from record.GetBatch; the
-// merger returns it to the pool after pushing every record, and credits
-// the records back against the session's inflight count. mixed marks a
-// relay batch whose records carry their own origins in rec.Node.
+// srcBatch hands one scanned batch from a session's decode worker to the
+// merge goroutine. The batch pointer comes from record.GetBatch and its
+// records borrow payload, the wire buffer they were scanned in: the
+// merger pushes every record (the sorter copies the bytes out), then
+// returns the batch to the pool and the payload to the session's reader,
+// and credits the records back against the session's inflight count.
+// mixed marks a relay batch whose records carry their own origins in
+// rec.Node.
 type srcBatch struct {
-	node  int32
-	batch *[]record.Record
-	sess  *session
-	mixed bool
+	node    int32
+	batch   *[]record.Record
+	payload []byte
+	sess    *session
+	mixed   bool
 }
 
 // lineBuffer renders one PICL line at a time for the visual dispatcher.
@@ -655,6 +662,9 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_heap_depth",
 		Help: "records currently buffered inside the sorter's delay window (aggregate across shards, either core)", Unit: "records"},
 		func() float64 { return float64(m.sorter.Buffered()) })
+	reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_slab_bytes",
+		Help: "encoded bytes of the records buffered inside the sorter's delay window (aggregate across shards; each record holds a 32-byte sort key on top)", Unit: "bytes"},
+		func() float64 { return float64(m.sorter.SlabBytes()) })
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_bucket_occupancy",
 		Help: "live records in the fullest calendar bucket across shards (0 on the heap core or while the heap fallback is active)", Unit: "records"},
 		func() float64 { return float64(m.sorter.MaxBucketOccupancy()) })
@@ -691,6 +701,9 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 			reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_shard_buffered",
 				Help: "records currently buffered in this shard's heaps", Unit: "records", Labels: labels},
 				func() float64 { return float64(m.sorter.ShardBuffered(i)) })
+			reg.GaugeFunc(metrics.Desc{Name: "brisk_ols_shard_slab_bytes",
+				Help: "encoded bytes of the records buffered in this shard", Unit: "bytes", Labels: labels},
+				func() float64 { return float64(m.sorter.ShardSlabBytes(i)) })
 			shardCounter := func(name, help string, get func(ols.Stats) uint64) {
 				reg.CounterFunc(metrics.Desc{Name: name, Help: help, Unit: "records", Labels: labels},
 					func() uint64 { return get(m.sorter.ShardStats(i)) })
@@ -768,17 +781,22 @@ func (m *Manager) Buffer() *shm.Buffer { return m.buffer }
 func (m *Manager) NewCursor() *shm.Cursor { return m.buffer.NewCursor() }
 
 // DecodeBuffered decodes one memory-buffer entry produced by this manager.
-func DecodeBuffered(p []byte) (record.Record, error) {
+func DecodeBuffered(p []byte) (rec record.Record, err error) {
+	err = DecodeBufferedInto(&rec, p)
+	return rec, err
+}
+
+// DecodeBufferedInto is DecodeBuffered into a record the caller owns,
+// reusing its Fields capacity. The record does not alias p.
+func DecodeBufferedInto(rec *record.Record, p []byte) error {
 	if len(p) < 4 {
-		return record.Record{}, errors.New("ism: short buffer entry")
+		return errors.New("ism: short buffer entry")
 	}
-	node := int32(uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3]))
-	rec, _, err := record.Decode(p[4:])
-	if err != nil {
-		return record.Record{}, err
+	if _, err := record.DecodeInto(rec, p[4:]); err != nil {
+		return err
 	}
-	rec.Node = node
-	return rec, nil
+	rec.Node = int32(uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3]))
+	return nil
 }
 
 // Serve runs the accept loop, merger, and synchronization master until
@@ -1259,42 +1277,40 @@ func (m *Manager) drainWork(s *session) {
 	}
 }
 
-// decodeOne decodes one batch into a pooled record slice and hands it to
-// the merger. The payload buffer goes back to the session's reader; the
-// batch comes back from the merger via the pool. A malformed batch severs
-// the link — it was already acked, so the sensor must not replay the
-// poison frame forever.
+// decodeOne scans one batch into a pooled record slice — validated as
+// strictly as a full decode, but each record stays the bytes it arrived
+// as — and hands it to the sorter: directly with several shards, through
+// the merger with one. The records borrow the payload buffer, so it goes
+// back to the session's reader only once the push has copied them out;
+// the batch comes back via the pool. A malformed batch severs the link —
+// it was already acked, so the sensor must not replay the poison frame
+// forever.
 func (m *Manager) decodeOne(s *session, pb pending) {
 	bp := record.GetBatch()
 	var recs []record.Record
 	var err error
 	if pb.relay {
-		recs, err = record.DecodeNodeAppend((*bp)[:0], pb.payload)
+		recs, err = record.ScanNodeAppend((*bp)[:0], pb.payload)
 	} else {
-		recs, err = record.DecodeAppend((*bp)[:0], pb.payload)
+		recs, err = record.ScanAppend((*bp)[:0], pb.payload)
 	}
 	if err == nil && uint32(len(recs)) != pb.count {
 		err = fmt.Errorf("batch declared %d records, contained %d", pb.count, len(recs))
 	}
-	select {
-	case s.free <- pb.payload[:0]:
-	default:
-	}
+	*bp = recs
 	if err != nil {
-		*bp = recs
-		record.PutBatch(bp)
-		s.inflight.Add(-int64(pb.count))
+		m.release(s, bp, pb.payload, int(pb.count))
 		m.logf("ism: node %d: bad batch: %v", s.node, err)
 		s.severCurrent()
 		return
 	}
-	*bp = recs
 	m.received.Add(uint64(len(recs)))
 	if m.tracer != nil && len(recs) > 0 && m.tracer.ShouldSample(stageIngest) {
 		if r := &recs[0]; r.HasTS {
 			m.tracer.Observe(stageIngest, m.clock.NowMicros()-r.TS)
 		}
 	}
+	b := srcBatch{node: s.node, batch: bp, payload: pb.payload, sess: s, mixed: pb.relay}
 	if m.shardN > 1 {
 		// Sharded mode: push straight into this source's sorter shard
 		// instead of funnelling through the merge channel — decode workers
@@ -1303,28 +1319,50 @@ func (m *Manager) decodeOne(s *session, pb pending) {
 		// when a sink batch's worth has built up so backlog drains at
 		// ingest rate, not merge-tick rate.
 		now := m.clock.NowMicros()
-		if pb.relay {
-			m.sorter.PushMixed(recs, now)
-		} else {
-			m.sorter.PushBatch(s.node, recs, now)
-		}
-		record.PutBatch(bp)
-		s.inflight.Add(-int64(pb.count))
+		m.pushBatch(b, now)
 		m.updateGate(m.sorter.Buffered(), now)
 		if m.sorter.Buffered() >= m.sinkBatch {
 			select {
 			case m.extractNow <- struct{}{}:
+				// Hand this processor to the merger just woken. On a
+				// saturated box a worker with a full queue otherwise runs
+				// out its time slice first, and what it pushes meanwhile
+				// ages in the sorter unextracted.
+				runtime.Gosched()
 			default:
 			}
 		}
 		return
 	}
 	select {
-	case m.merge <- srcBatch{node: s.node, batch: bp, sess: s, mixed: pb.relay}:
+	case m.merge <- b:
 	case <-m.done:
-		record.PutBatch(bp)
-		s.inflight.Add(-int64(pb.count))
+		m.release(s, bp, pb.payload, len(recs))
 	}
+}
+
+// pushBatch moves one scanned batch into the sorter and, the sorter
+// having copied every record's bytes, releases what the batch borrowed.
+func (m *Manager) pushBatch(b srcBatch, now int64) {
+	if b.mixed {
+		m.sorter.PushMixed(*b.batch, now)
+	} else {
+		m.sorter.PushBatch(b.node, *b.batch, now)
+	}
+	m.release(b.sess, b.batch, b.payload, len(*b.batch))
+}
+
+// release returns a batch to the pool and its payload buffer to the
+// session's reader, and takes n records off the session's inflight count.
+// Nothing may read the batch's records afterwards: the next frame lands
+// in the payload they borrow.
+func (m *Manager) release(s *session, bp *[]record.Record, payload []byte, n int) {
+	record.PutBatch(bp)
+	select {
+	case s.free <- payload[:0]:
+	default:
+	}
+	s.inflight.Add(-int64(n))
 }
 
 // mergeLoop is the single goroutine that owns the sorter, the matcher and
@@ -1348,18 +1386,9 @@ func (m *Manager) mergeLoop() {
 			for {
 				select {
 				case b := <-m.merge:
-					now := m.clock.NowMicros()
 					m.sorterMu.Lock()
-					if b.mixed {
-						m.sorter.PushMixed(*b.batch, now)
-					} else {
-						m.sorter.PushBatch(b.node, *b.batch, now)
-					}
+					m.pushBatch(b, m.clock.NowMicros())
 					m.sorterMu.Unlock()
-					if b.sess != nil {
-						b.sess.inflight.Add(-int64(len(*b.batch)))
-					}
-					record.PutBatch(b.batch)
 					continue
 				default:
 				}
@@ -1394,13 +1423,19 @@ func (m *Manager) extractTick() {
 	m.sorterMu.Lock()
 	m.emitNow = now
 	m.windowT.Observe(m.sorter.TimeFrame())
-	m.sorter.Extract(now, m.sinkRecord)
+	n := m.sorter.Extract(now, m.sinkRecord)
 	m.matcher.Tick(now, m.collect)
 	m.harvestLosses()
 	m.flushSinks(now)
 	buffered := m.sorter.Buffered()
 	m.sorterMu.Unlock()
 	m.updateGate(buffered, now)
+	if n > 0 {
+		// The same hand-off one stage on: the pass woke the buffer's
+		// readers, and with decode workers signalling continuously the
+		// merger would otherwise start its next pass before they run.
+		runtime.Gosched()
+	}
 }
 
 // mergeBatch pushes one decoded batch through the sorter and flushes the
@@ -1409,24 +1444,13 @@ func (m *Manager) extractTick() {
 func (m *Manager) mergeBatch(b srcBatch) {
 	now := m.clock.NowMicros()
 	m.sorterMu.Lock()
-	if b.mixed {
-		m.sorter.PushMixed(*b.batch, now)
-	} else {
-		m.sorter.PushBatch(b.node, *b.batch, now)
-	}
-	n := len(*b.batch)
-	// Push deep-copies into sorter-owned storage; the batch can go back to
-	// the pool before extraction.
-	record.PutBatch(b.batch)
+	m.pushBatch(b, now)
 	m.emitNow = now
 	m.sorter.Extract(now, m.sinkRecord)
 	m.harvestLosses()
 	m.flushSinks(now)
 	buffered := m.sorter.Buffered()
 	m.sorterMu.Unlock()
-	if b.sess != nil {
-		b.sess.inflight.Add(-int64(n))
-	}
 	m.updateGate(buffered, now)
 }
 
@@ -1440,8 +1464,9 @@ func (m *Manager) sinkRecord(rec record.Record) {
 }
 
 // collect accumulates one fully-processed record for the next sink flush.
-// The record still borrows sorter-slot Fields storage; that stays valid
-// because nothing is pushed into the sorter before flushSinks runs.
+// The record still borrows sorter slab or merge staging bytes; they stay
+// valid because nothing is pushed into a single-shard sorter, and no new
+// merge pass staged, before flushSinks runs.
 func (m *Manager) collect(rec record.Record) {
 	m.out = append(m.out, rec)
 	if len(m.out) >= m.sinkBatch {
@@ -1450,22 +1475,51 @@ func (m *Manager) collect(rec record.Record) {
 }
 
 // flushSinks delivers every collected record to the sinks in one pass:
-// encodes into recycled per-record buffers, publishes them to the memory
-// buffer under a single lock, and streams PICL/visual lines. Runs with
-// sorterMu held.
+// node prefix plus the record's own bytes (its timestamp patched if the
+// matcher repaired it) into recycled per-record buffers, published to the
+// memory buffer under a single lock, and PICL/visual lines streamed. A
+// record's field values are decoded only when something here reads them
+// — a user filter, the PICL log, an attached visual object — and then
+// once, into fieldBuf. Runs with sorterMu held.
 func (m *Manager) flushSinks(now int64) {
 	if len(m.out) == 0 {
 		return
 	}
+	visual := m.cfg.Visual != nil && m.cfg.Visual.Len() > 0
+	needFields := m.cfg.Filter != nil || m.cfg.PICL != nil || visual
 	n := 0
 	for i := range m.out {
 		rec := &m.out[i]
+		if needFields {
+			fields, err := rec.DecodeFields(&m.fieldBuf)
+			if err != nil {
+				m.logf("ism: decode for sinks: %v", err)
+			}
+			rec.Fields = fields
+		}
 		// Loss markers are exempt from the filter: the whole point of the
 		// marker is that no consumer can miss the gap.
 		if m.cfg.Filter != nil && rec.Event != record.LossEvent && !m.cfg.Filter(rec) {
 			m.filtered.Inc()
 			continue
 		}
+		// Memory buffer: node prefix + the NOTICE binary structure.
+		for n >= len(m.sinkBufs) {
+			m.sinkBufs = append(m.sinkBufs, nil)
+		}
+		buf := append(m.sinkBufs[n][:0],
+			byte(uint32(rec.Node)>>24), byte(uint32(rec.Node)>>16),
+			byte(uint32(rec.Node)>>8), byte(uint32(rec.Node)))
+		buf, err := rec.Append(buf)
+		if err != nil {
+			// Unreachable for anything the sorter emitted (it holds only
+			// bytes it could encode); counted as received-not-emitted if a
+			// synthesized record ever fails.
+			m.logf("ism: encode for buffer: %v", err)
+			continue
+		}
+		m.sinkBufs[n] = buf
+		n++
 		m.emitted.Inc()
 		if m.cfg.Forward != nil {
 			m.cfg.Forward(rec)
@@ -1477,29 +1531,15 @@ func (m *Manager) flushSinks(now int64) {
 				m.tracer.Observe(stageSinkDeliver, age)
 			}
 		}
-		// Memory buffer: node prefix + the NOTICE binary structure.
-		for n >= len(m.sinkBufs) {
-			m.sinkBufs = append(m.sinkBufs, nil)
-		}
-		buf := append(m.sinkBufs[n][:0],
-			byte(uint32(rec.Node)>>24), byte(uint32(rec.Node)>>16),
-			byte(uint32(rec.Node)>>8), byte(uint32(rec.Node)))
-		buf, err := rec.Append(buf)
-		if err != nil {
-			m.logf("ism: encode for buffer: %v", err)
-		} else {
-			m.sinkBufs[n] = buf
-			n++
-			if m.cfg.Tap != nil {
-				m.cfg.Tap.Publish(rec, buf, now)
-			}
+		if m.cfg.Tap != nil {
+			m.cfg.Tap.Publish(rec, buf, now)
 		}
 		if m.cfg.PICL != nil {
 			if err := m.cfg.PICL.WriteRecord(rec); err != nil {
 				m.logf("ism: picl write: %v", err)
 			}
 		}
-		if m.cfg.Visual != nil && m.cfg.Visual.Len() > 0 {
+		if visual {
 			m.visualBuf.buf = m.visualBuf.buf[:0]
 			if err := m.visualPICL.WriteRecord(rec); err == nil {
 				if err := m.visualPICL.Flush(); err == nil {

@@ -29,8 +29,6 @@ package ols
 import (
 	"container/heap"
 	"math/bits"
-
-	"brisk/internal/record"
 )
 
 // Calendar geometry. The ring is a fixed power-of-two number of buckets
@@ -75,16 +73,16 @@ type calendar struct {
 	count   int   // live records across all buckets
 }
 
-// calBucket is one timestamp slot of the ring: a flat slice of records
-// plus the parallel source-queue pointers needed for per-source
-// accounting at emission time. Slot storage is recycled exactly like
-// srcQueue slots — a deep-copying append reuses the previous occupant's
-// Fields array — so steady-state traffic allocates nothing.
+// calBucket is one timestamp slot of the ring: a flat slice of sort keys
+// over one byte slab holding their records. Both are recycled with the
+// bucket — reset truncates them, later appends refill them — so
+// steady-state traffic allocates nothing, and sorting moves 32-byte keys
+// while the bytes stay put.
 type calBucket struct {
-	recs []record.Record
-	qs   []*srcQueue // qs[i] owns recs[i]; parallel to recs
-	hd   int         // emitted prefix; non-zero only on the front bucket
-	// dirty marks the live region recs[hd:] as not known to be
+	keys []sortKey
+	slab []byte
+	hd   int // emitted prefix; non-zero only on the front bucket
+	// dirty marks the live region keys[hd:] as not known to be
 	// (TS, Seq)-sorted. Appends arrive in Seq order, so the region stays
 	// sorted for free until a push lands behind the bucket's tail; the
 	// sort is deferred until the bucket reaches the front of the drain.
@@ -92,65 +90,37 @@ type calBucket struct {
 }
 
 // live returns the number of unemitted records in the bucket.
-func (b *calBucket) live() int { return len(b.recs) - b.hd }
+func (b *calBucket) live() int { return len(b.keys) - b.hd }
 
-// append deep-copies r into the tail slot (reusing the slot's previous
-// Fields array, as srcQueue.push does) and records q as its owner.
-func (b *calBucket) append(r record.Record, q *srcQueue) {
-	if n := len(b.recs); n > b.hd && r.TS < b.recs[n-1].TS {
+// append copies body into the bucket's slab under k.
+func (b *calBucket) append(k sortKey, body []byte) {
+	if n := len(b.keys); n > b.hd && k.ts < b.keys[n-1].ts {
 		b.dirty = true
 	}
-	if len(b.recs) < cap(b.recs) {
-		b.recs = b.recs[:len(b.recs)+1]
-	} else {
-		b.recs = append(b.recs, record.Record{})
-	}
-	slot := &b.recs[len(b.recs)-1]
-	fields := slot.Fields[:0]
-	*slot = r
-	slot.Fields = append(fields, r.Fields...)
-	b.qs = append(b.qs[:len(b.recs)-1], q)
+	b.keys, b.slab = store(b.keys, b.slab, k, body)
 }
 
-// take appends r moving ownership of r.Fields outright — the rebuild
-// path, where r was lifted out of another bucket. The slot's previously
-// parked array is dropped; rebuilds are rare and allowed to allocate.
-func (b *calBucket) take(r record.Record, q *srcQueue) {
-	if n := len(b.recs); n > b.hd && r.TS < b.recs[n-1].TS {
-		b.dirty = true
-	}
-	if len(b.recs) < cap(b.recs) {
-		b.recs = b.recs[:len(b.recs)+1]
-	} else {
-		b.recs = append(b.recs, record.Record{})
-	}
-	b.recs[len(b.recs)-1] = r
-	b.qs = append(b.qs[:len(b.recs)-1], q)
-}
-
-// reset empties the bucket for reuse, keeping slot storage (and the
-// Fields arrays parked in it) so later appends recycle rather than
-// allocate.
+// reset empties the bucket for reuse, keeping key and slab capacity so
+// later appends recycle rather than allocate.
 func (b *calBucket) reset() {
-	b.recs = b.recs[:0]
-	b.qs = b.qs[:0]
+	b.keys = b.keys[:0]
+	b.slab = b.slab[:0]
 	b.hd = 0
 	b.dirty = false
 }
 
-// sortLive insertion-sorts the live region by (TS, Seq), moving the
-// parallel qs entries with their records. Buckets are small when width
-// tracks T, and appends are Seq-ordered already, so the common dirty
-// bucket is nearly sorted — insertion sort's best case.
+// sortLive insertion-sorts the live keys by (TS, Seq). Buckets are small
+// when width tracks T, and appends are Seq-ordered already, so the common
+// dirty bucket is nearly sorted — insertion sort's best case.
 func (b *calBucket) sortLive() {
-	for i := b.hd + 1; i < len(b.recs); i++ {
-		r, q := b.recs[i], b.qs[i]
+	for i := b.hd + 1; i < len(b.keys); i++ {
+		k := b.keys[i]
 		j := i - 1
-		for j >= b.hd && (b.recs[j].TS > r.TS || (b.recs[j].TS == r.TS && b.recs[j].Seq > r.Seq)) {
-			b.recs[j+1], b.qs[j+1] = b.recs[j], b.qs[j]
+		for j >= b.hd && k.before(&b.keys[j]) {
+			b.keys[j+1] = b.keys[j]
 			j--
 		}
-		b.recs[j+1], b.qs[j+1] = r, q
+		b.keys[j+1] = k
 	}
 	b.dirty = false
 }
@@ -163,13 +133,13 @@ func (c *calendar) oldest() (int64, bool) {
 	}
 	for off := 0; off <= c.maxOff; off++ {
 		b := &c.buckets[(c.cur+off)&(calBuckets-1)]
-		if b.hd >= len(b.recs) {
+		if b.live() == 0 {
 			continue
 		}
-		min := b.recs[b.hd].TS
-		for i := b.hd + 1; i < len(b.recs); i++ {
-			if b.recs[i].TS < min {
-				min = b.recs[i].TS
+		min := b.keys[b.hd].ts
+		for _, k := range b.keys[b.hd+1:] {
+			if k.ts < min {
+				min = k.ts
 			}
 		}
 		return min, true
@@ -204,43 +174,44 @@ func (s *Sorter) calReinit(ts int64) {
 	c.maxOff = 0
 }
 
-// calInsert places rec into the bucket ring, returning false when the
-// calendar cannot hold it without breaking heap equivalence — the
-// caller must fall back to the heap core and push there instead. The
-// three refusals, in check order: the record regresses its own source's
-// buffered timeline (the sortedness the global bucket order relies on),
-// it lands behind the ring further than a re-anchor can reach, or its
-// bucket is pathologically hot (see calHotBucket).
-func (s *Sorter) calInsert(q *srcQueue, rec record.Record) bool {
+// calInsert places a record (its key and encoded body) into the bucket
+// ring, returning false when the calendar cannot hold it without
+// breaking heap equivalence — the caller must fall back to the heap core
+// and push there instead. The three refusals, in check order: the record
+// regresses its own source's buffered timeline (the sortedness the global
+// bucket order relies on), it lands behind the ring further than a
+// re-anchor can reach, or its bucket is pathologically hot (see
+// calHotBucket) or out of slab.
+func (s *Sorter) calInsert(q *srcQueue, k sortKey, body []byte) bool {
 	c := &s.cal
 	if c.count == 0 {
-		s.calReinit(rec.TS)
+		s.calReinit(k.ts)
 	}
-	if q.buffered > 0 && rec.TS < q.lastPushTS {
+	if q.buffered > 0 && k.ts < q.lastPushTS {
 		return false
 	}
-	if rec.TS < c.base {
+	if k.ts < c.base {
 		// A straggler behind the ring: re-anchor backward when the
 		// unoccupied tail leaves room — O(1), no records move, their ring
 		// positions are preserved because cur and base shift together.
-		k := int((c.base - rec.TS + c.width - 1) >> c.shift)
-		if k > calBuckets-1-c.maxOff {
+		n := int((c.base - k.ts + c.width - 1) >> c.shift)
+		if n > calBuckets-1-c.maxOff {
 			return false
 		}
-		c.cur = (c.cur - k + calBuckets) & (calBuckets - 1)
-		c.base -= int64(k) << c.shift
-		c.maxOff += k
+		c.cur = (c.cur - n + calBuckets) & (calBuckets - 1)
+		c.base -= int64(n) << c.shift
+		c.maxOff += n
 	}
-	off := int((rec.TS - c.base) >> c.shift)
+	off := int((k.ts - c.base) >> c.shift)
 	if off >= calBuckets {
-		s.calRebuild(rec.TS)
-		off = int((rec.TS - c.base) >> c.shift)
+		s.calRebuild(k.ts)
+		off = int((k.ts - c.base) >> c.shift)
 	}
 	b := &c.buckets[(c.cur+off)&(calBuckets-1)]
-	if l := b.live(); l >= calHotBucket && (l+1)*2 > c.count+1 {
+	if l := b.live(); l >= calHotBucket && (l+1)*2 > c.count+1 || len(b.slab)+len(body) > maxSlab {
 		return false
 	}
-	b.append(rec, q)
+	b.append(k, body)
 	if off > c.maxOff {
 		c.maxOff = off
 	}
@@ -249,11 +220,12 @@ func (s *Sorter) calInsert(q *srcQueue, rec record.Record) bool {
 }
 
 // calRebuild widens the buckets until ts fits in the ring, re-bucketing
-// every live record at the new width. O(count) struct moves and allowed
-// to allocate — it is off the steady-state path, and the widened width
-// is sticky across drain-to-empty cycles (calReinit), so a workload
-// whose in-flight span exceeds T/calWidthDiv pays a few doublings once
-// rather than a rebuild per cycle. Counted in Stats.CalendarRebuilds.
+// every live record at the new width. O(count) key and byte moves through
+// a staging pair and allowed to allocate — it is off the steady-state
+// path, and the widened width is sticky across drain-to-empty cycles
+// (calReinit), so a workload whose in-flight span exceeds T/calWidthDiv
+// pays a few doublings once rather than a rebuild per cycle. Counted in
+// Stats.CalendarRebuilds.
 func (s *Sorter) calRebuild(ts int64) {
 	c := &s.cal
 	s.stats.CalendarRebuilds++
@@ -262,17 +234,11 @@ func (s *Sorter) calRebuild(ts int64) {
 	for int64(calBuckets-1)<<sh <= need {
 		sh++
 	}
-	s.calRecs = s.calRecs[:0]
-	s.calQs = s.calQs[:0]
+	keys, slab := s.calKeys[:0], s.calSlab[:0]
 	for off := 0; off <= c.maxOff; off++ {
 		b := &c.buckets[(c.cur+off)&(calBuckets-1)]
-		for i := b.hd; i < len(b.recs); i++ {
-			s.calRecs = append(s.calRecs, b.recs[i])
-			s.calQs = append(s.calQs, b.qs[i])
-			// Ownership of the Fields array moves with the record; clear
-			// the slot so the old bucket cannot park an alias that a later
-			// append would overwrite in place.
-			b.recs[i].Fields = nil
+		for _, k := range b.keys[b.hd:] {
+			keys, slab = store(keys, slab, k, b.slab[k.off:][:k.n])
 		}
 		b.reset()
 	}
@@ -282,15 +248,14 @@ func (s *Sorter) calRebuild(ts int64) {
 	c.maxOff = 0
 	// base is unchanged: it already sits at or below the oldest live
 	// record, so every existing offset shrinks into range.
-	for i, r := range s.calRecs {
-		off := int((r.TS - c.base) >> c.shift)
-		c.buckets[off].take(r, s.calQs[i])
+	for _, k := range keys {
+		off := int((k.ts - c.base) >> c.shift)
+		c.buckets[off].append(k, slab[k.off:][:k.n])
 		if off > c.maxOff {
 			c.maxOff = off
 		}
 	}
-	s.calRecs = s.calRecs[:0]
-	s.calQs = s.calQs[:0]
+	s.calKeys, s.calSlab = keys[:0], slab[:0]
 }
 
 // calAdvance retires the (drained) front bucket: the ring rotates one
@@ -305,79 +270,27 @@ func (s *Sorter) calAdvance() {
 }
 
 // calDrain is extract for the calendar core: an append-order scan of
-// expired buckets, emitting each aged record (now − TS ≥ T) in
+// expired buckets, handing out each aged key (now − TS ≥ T) in
 // (TS, Seq) order and stopping at the first record still inside the
 // window. Identical gate, identical order, identical borrow contract to
 // extractHeap.
-func (s *Sorter) calDrain(now int64, emit func(record.Record)) int {
+func (s *Sorter) calDrain(now, gate int64, out func(*sortKey, []byte)) int {
 	c := &s.cal
 	n := 0
 	for c.count > 0 {
 		b := &c.buckets[c.cur]
-		if b.hd >= len(b.recs) {
-			b.reset()
-			s.calAdvance()
-			continue
-		}
-		if b.dirty {
+		if b.dirty && b.live() > 0 {
 			b.sortLive()
 		}
-		for b.hd < len(b.recs) {
-			r := &b.recs[b.hd]
-			if now-r.TS < int64(s.t) {
+		for b.hd < len(b.keys) {
+			k := &b.keys[b.hd]
+			if now-k.ts < gate {
 				return n
 			}
-			q := b.qs[b.hd]
 			b.hd++
 			c.count--
-			q.buffered--
-			s.buffered--
-			s.lastTS = r.TS
-			s.lastSrc = q.src
-			s.emitted = true
-			s.stats.Emitted++
-			emit(*r)
-			n++
-		}
-		b.reset()
-		s.calAdvance()
-	}
-	return n
-}
-
-// calDrainSwap is calDrain for a staged shard (see extractSwap): each
-// emitted record moves into dst owning its Fields array, and the
-// vacated bucket slot receives a recycled spare in exchange, keeping
-// both sides allocation-free.
-func (s *Sorter) calDrainSwap(now int64, dst *mergeRun) int {
-	c := &s.cal
-	n := 0
-	for c.count > 0 {
-		b := &c.buckets[c.cur]
-		if b.hd >= len(b.recs) {
-			b.reset()
-			s.calAdvance()
-			continue
-		}
-		if b.dirty {
-			b.sortLive()
-		}
-		for b.hd < len(b.recs) {
-			slot := &b.recs[b.hd]
-			if now-slot.TS < int64(s.t) {
-				return n
-			}
-			q := b.qs[b.hd]
-			rec := *slot
-			slot.Fields = dst.put(rec)
-			b.hd++
-			c.count--
-			q.buffered--
-			s.buffered--
-			s.lastTS = rec.TS
-			s.lastSrc = q.src
-			s.emitted = true
-			s.stats.Emitted++
+			s.retire(s.srcs[k.src], k)
+			out(k, b.slab)
 			n++
 		}
 		b.reset()
@@ -399,8 +312,8 @@ func (s *Sorter) fallbackToHeap() {
 	c := &s.cal
 	for off := 0; off <= c.maxOff && c.count > 0; off++ {
 		b := &c.buckets[(c.cur+off)&(calBuckets-1)]
-		for i := b.hd; i < len(b.recs); i++ {
-			b.qs[i].push(b.recs[i])
+		for _, k := range b.keys[b.hd:] {
+			s.srcs[k.src].push(k, b.slab[k.off:][:k.n])
 			c.count--
 		}
 		b.reset()

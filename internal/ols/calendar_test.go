@@ -27,7 +27,7 @@ func runCores(m streamModel, cfg Config, shards int) (cal, hp []emission) {
 		c.Core = core
 		var out []emission
 		emit := func(r record.Record) {
-			out = append(out, emission{r.Node, r.TS, r.Fields[len(r.Fields)-1].Uint()})
+			out = append(out, emission{r.Node, r.TS, fieldAt(r, -1).Uint()})
 		}
 		if shards == 0 {
 			s := New(c)

@@ -32,6 +32,14 @@
 // changes what is emitted or in what order — only the cost of producing
 // it.
 //
+// # Storage
+//
+// A buffered record is its encoded bytes plus one pointer-free 32-byte
+// sort key (see sortKey). Push copies the body into the byte slab of the
+// calendar bucket or source queue that takes the key; ordering moves keys
+// only, and Extract hands the bytes back out as an encoded-body
+// record.Record borrowing the slab. Field values are never built here.
+//
 // # Adaptive window, quota and loss accounting
 //
 // Both cores share the surrounding machinery: the adaptive time frame T
@@ -194,8 +202,11 @@ type Sorter struct {
 	emitted bool
 
 	queues map[int32]*srcQueue
+	srcs   []*srcQueue // every queue, indexed by sortKey.src
 	h      srcHeap
 	seq    uint64
+	enc    []byte // scratch: the body being pushed, before it lands in a slab
+	bytes  int    // encoded bytes of every buffered record
 
 	// onHeap is the live core: true for CoreHeap sorters always, and for
 	// CoreCalendar sorters while the automatic fallback is engaged. The
@@ -203,8 +214,8 @@ type Sorter struct {
 	onHeap bool
 	cal    calendar
 	// calRebuild scratch, retained to amortize across rebuilds.
-	calRecs []record.Record
-	calQs   []*srcQueue
+	calKeys []sortKey
+	calSlab []byte
 
 	lossPending int // sources with unharvested drop accumulators
 
@@ -239,6 +250,11 @@ func (s *Sorter) TimeFrame() int64 { return int64(s.t) }
 
 // Buffered returns the number of records currently delayed in memory.
 func (s *Sorter) Buffered() int { return s.buffered }
+
+// SlabBytes returns the encoded bytes of the records currently delayed in
+// memory — what MaxBuffered, which counts records, does not show. Each
+// buffered record holds a 32-byte sort key on top.
+func (s *Sorter) SlabBytes() int { return s.bytes }
 
 // Stats returns a copy of the counters.
 func (s *Sorter) Stats() Stats {
@@ -295,30 +311,80 @@ func (s *Sorter) TakeLosses(fn func(src int32, count uint64, firstTS, lastTS int
 	s.lossPending = 0
 }
 
+// sortKey is what the sorter orders: one per buffered record, 32 bytes and
+// free of pointers, so the sort moves little and the garbage collector
+// never scans a slab of them. The record itself is n encoded bytes at off
+// in the slab of whichever bucket or queue holds the key.
+type sortKey struct {
+	ts    int64  // sort timestamp: the record's TS, or its arrival time if it has none
+	seq   uint64 // per-sorter arrival number, the tie-break
+	off   uint32 // body start in the owner's slab
+	n     uint16 // body length
+	tsOff uint16 // offset of the body's TS field; 0: none
+	src   uint32 // index into Sorter.srcs (in a merge run: the origin node id itself)
+}
+
+// before is the (TS, Seq) order every core emits in.
+func (k *sortKey) before(o *sortKey) bool {
+	return k.ts < o.ts || (k.ts == o.ts && k.seq < o.seq)
+}
+
+// maxSlab bounds one slab so sortKey.off cannot wrap; a push that would pass
+// it is dropped and accounted like any other push at a buffer bound.
+const maxSlab = math.MaxInt32
+
+// store copies body to the end of slab and appends k, pointing at the
+// copy, to keys.
+func store(keys []sortKey, slab []byte, k sortKey, body []byte) ([]sortKey, []byte) {
+	k.off = uint32(len(slab))
+	return append(keys, k), append(slab, body...)
+}
+
+// view rebuilds the record a key stands for, borrowing its bytes in slab.
+func (s *Sorter) view(k *sortKey, slab []byte) record.Record {
+	r := record.FromEncoded(slab[k.off:k.off+uint32(k.n)], int(k.tsOff), k.ts)
+	r.Node, r.Seq = s.srcs[k.src].src, k.seq
+	return r
+}
+
+// source returns src's accounting entry, creating it on first sight.
+func (s *Sorter) source(src int32) *srcQueue {
+	q, ok := s.queues[src]
+	if !ok {
+		q = &srcQueue{src: src, idx: uint32(len(s.srcs)), pos: -1}
+		s.queues[src] = q
+		s.srcs = append(s.srcs, q)
+	}
+	return q
+}
+
 // Push enqueues one record from a source. now is the manager clock (µs),
 // used to measure the record's lateness when it arrives behind the
-// merged stream. Records without a timestamp are stamped with now so they
-// flow through rather than stall the merge.
+// merged stream. A record without a timestamp is sorted by now, so it
+// flows through rather than stalls the merge, and has a TS field of that
+// value prepended when it has room for one.
 //
-// Push deep-copies rec, including its Fields, into sorter-owned storage
-// (a calendar bucket slot or a queue slot, per the live core): the caller
-// may recycle rec.Fields (a pooled decode batch, say) as soon as Push
-// returns. The copy reuses the slot's previous Fields array, so
-// steady-state pushes do not allocate.
+// Push copies rec's encoding into sorter-owned storage (a calendar
+// bucket's or a source queue's slab, per the live core): the caller may
+// recycle whatever rec borrows as soon as Push returns. Slabs are
+// recycled with their bucket or queue, so steady-state pushes do not
+// allocate.
 //
 // A push beyond MaxBuffered or the source's quota is dropped (drop-newest)
 // and accounted to the source in Stats.SourceDrops and in the loss
-// accumulator drained by TakeLosses. Loss-marker records are exempt from
-// both bounds: a marker documents drops that already happened, so dropping
-// it would reopen the silent-loss hole the marker exists to close.
+// accumulator drained by TakeLosses; so is a record that cannot be
+// encoded. Loss-marker records are exempt from both bounds: a marker
+// documents drops that already happened, so dropping it would reopen the
+// silent-loss hole the marker exists to close.
 func (s *Sorter) Push(src int32, rec record.Record, now int64) {
+	s.push(s.source(src), &rec, now)
+}
+
+// push is Push for a caller that resolved the source once for a run of
+// its records. rec is read, never written.
+func (s *Sorter) push(q *srcQueue, rec *record.Record, now int64) {
 	s.stats.Pushed++
-	q, ok := s.queues[src]
-	if !ok {
-		q = &srcQueue{src: src}
-		s.queues[src] = q
-	}
-	marker := rec.Event == record.LossEvent && record.IsLossMarker(&rec)
+	marker := record.IsLossMarker(rec)
 	if !marker {
 		occ := s.buffered
 		if s.occRef != nil {
@@ -327,33 +393,23 @@ func (s *Sorter) Push(src int32, rec record.Record, now int64) {
 		full := s.cfg.MaxBuffered > 0 && occ >= s.cfg.MaxBuffered
 		overQuota := s.cfg.SourceQuota > 0 && q.buffered >= s.cfg.SourceQuota
 		if full || overQuota {
-			s.stats.DroppedFull++
-			q.dropped++
-			ts := now
-			if rec.HasTS {
-				ts = rec.TS
-			}
-			if q.lossCount == 0 {
-				q.lossFirst, q.lossLast = ts, ts
-				s.lossPending++
-			} else {
-				if ts < q.lossFirst {
-					q.lossFirst = ts
-				}
-				if ts > q.lossLast {
-					q.lossLast = ts
-				}
-			}
-			q.lossCount++
+			s.drop(q, rec, now)
 			return
 		}
 	}
 	if !rec.HasTS {
-		rec.SetTS(now)
+		stamped := *rec
+		stamped.SetTS(now)
+		rec = &stamped
 	}
-	rec.Node = src
+	body, tsOff, err := rec.AppendBody(s.enc[:0])
+	s.enc = body[:0]
+	if err != nil {
+		s.drop(q, rec, now)
+		return
+	}
 	s.seq++
-	rec.Seq = s.seq
+	k := sortKey{ts: rec.TS, seq: s.seq, n: uint16(len(body)), tsOff: uint16(tsOff), src: q.idx}
 
 	// Inversion check: the record is already behind the emitted stream.
 	// Loss markers are exempt — they are synthetic and deliberately stamped
@@ -362,33 +418,56 @@ func (s *Sorter) Push(src int32, rec record.Record, now int64) {
 	if s.orderRef != nil {
 		lastTS, lastSrc, emitted = s.orderRef()
 	}
-	if !marker && emitted && rec.TS < lastTS && src != lastSrc {
+	if !marker && emitted && k.ts < lastTS && q.src != lastSrc {
 		s.stats.Inversions++
-		s.grow(now - rec.TS)
+		s.grow(now - k.ts)
 	}
 
-	if !s.onHeap {
-		if s.calInsert(q, rec) {
-			q.lastPushTS = rec.TS
-			q.buffered++
-			s.buffered++
-			return
-		}
+	if !s.onHeap && !s.calInsert(q, k, body) {
 		// The ring cannot absorb this record without breaking heap
 		// equivalence: migrate everything buffered into the queues and
 		// continue on the heap core (reverted once it drains empty).
 		s.fallbackToHeap()
 	}
-	q.lastPushTS = rec.TS
-	wasEmpty := q.empty()
-	q.push(rec)
+	if s.onHeap {
+		if len(q.slab)+len(body) > maxSlab {
+			s.drop(q, rec, now)
+			return
+		}
+		wasEmpty := q.empty()
+		q.push(k, body)
+		if wasEmpty {
+			heap.Push(&s.h, q)
+		} else if q.pos >= 0 {
+			heap.Fix(&s.h, q.pos)
+		}
+	}
+	q.lastPushTS = k.ts
 	q.buffered++
 	s.buffered++
-	if wasEmpty {
-		heap.Push(&s.h, q)
-	} else if q.pos >= 0 {
-		heap.Fix(&s.h, q.pos)
+	s.bytes += len(body)
+}
+
+// drop accounts one record lost at a buffer bound to its source.
+func (s *Sorter) drop(q *srcQueue, rec *record.Record, now int64) {
+	s.stats.DroppedFull++
+	q.dropped++
+	ts := now
+	if rec.HasTS {
+		ts = rec.TS
 	}
+	if q.lossCount == 0 {
+		q.lossFirst, q.lossLast = ts, ts
+		s.lossPending++
+	} else {
+		if ts < q.lossFirst {
+			q.lossFirst = ts
+		}
+		if ts > q.lossLast {
+			q.lossLast = ts
+		}
+	}
+	q.lossCount++
 }
 
 // grow raises T according to the configured policy. lateness is how long
@@ -432,50 +511,65 @@ func (s *Sorter) decay(now int64) {
 
 // Extract emits, in merged timestamp order, every buffered record that has
 // aged at least T (now − TS ≥ T). It returns the number emitted. The
-// record passed to emit borrows its Fields from the queue or bucket slot
-// that held it, which a later Push into the sorter reuses: it is valid as
-// given only until the next Push or Extract call. A callee retaining
-// records beyond that window must record.Detach them.
+// record passed to emit is an encoded-body record borrowing the slab of
+// the queue or bucket that held it, which a later Push into the sorter
+// reuses: it is valid as given only until the next Push or Extract call.
+// A callee retaining records beyond that window must record.Detach them.
 func (s *Sorter) Extract(now int64, emit func(record.Record)) int {
 	s.decay(now)
-	return s.extract(now, emit)
+	return s.extract(now, int64(s.t), s.viewing(emit))
+}
+
+// viewing adapts a record consumer to the cores' (key, slab) output.
+func (s *Sorter) viewing(emit func(record.Record)) func(*sortKey, []byte) {
+	return func(k *sortKey, slab []byte) { emit(s.view(k, slab)) }
 }
 
 // extract dispatches the drain to the live core. Both cores apply the
-// identical aging gate (emit while now − TS ≥ T) in the identical
-// (TS, Seq) order; a calendar sorter parked on the heap fallback
-// reverts once the drain leaves it empty.
-func (s *Sorter) extract(now int64, emit func(record.Record)) int {
+// identical aging gate (emit while now − TS ≥ gate) in the identical
+// (TS, Seq) order, handing each aged key and the slab holding its bytes
+// to out; a calendar sorter parked on the heap fallback reverts once the
+// drain leaves it empty. gate is the sorter's own T, or under a Sharded
+// wrapper the widest T of any shard.
+func (s *Sorter) extract(now, gate int64, out func(*sortKey, []byte)) int {
 	if !s.onHeap {
-		return s.calDrain(now, emit)
+		return s.calDrain(now, gate, out)
 	}
-	n := s.extractHeap(now, emit)
+	n := s.extractHeap(now, gate, out)
 	s.maybeRevert()
 	return n
 }
 
+// retire accounts one key leaving the sorter from q.
+func (s *Sorter) retire(q *srcQueue, k *sortKey) {
+	q.buffered--
+	s.buffered--
+	s.bytes -= int(k.n)
+	s.lastTS = k.ts
+	s.lastSrc = q.src
+	s.emitted = true
+	s.stats.Emitted++
+}
+
 // extractHeap is extract for the heap core: pop aged queue heads in
 // (TS, Seq) order, re-fixing the heap as each queue's head advances.
-func (s *Sorter) extractHeap(now int64, emit func(record.Record)) int {
+func (s *Sorter) extractHeap(now, gate int64, out func(*sortKey, []byte)) int {
 	n := 0
 	for len(s.h) > 0 {
 		q := s.h[0]
-		if now-q.head().TS < int64(s.t) {
+		k := q.head()
+		if now-k.ts < gate {
 			break
 		}
-		rec := q.pop()
-		q.buffered--
-		s.buffered--
+		slab := q.slab
+		q.pop()
 		if q.empty() {
 			heap.Pop(&s.h)
 		} else {
 			heap.Fix(&s.h, 0)
 		}
-		s.lastTS = rec.TS
-		s.lastSrc = q.src
-		s.emitted = true
-		s.stats.Emitted++
-		emit(rec)
+		s.retire(q, k)
+		out(k, slab)
 		n++
 	}
 	return n
@@ -489,34 +583,39 @@ func (s *Sorter) extractHeap(now int64, emit func(record.Record)) int {
 // elapsed time, collapse T to MinT and poison lastSeen for every
 // subsequent Extract.)
 func (s *Sorter) Flush(emit func(record.Record)) int {
-	return s.extract(math.MaxInt64, emit)
+	return s.extract(math.MaxInt64, 0, s.viewing(emit))
 }
 
 // NextDeadline returns the manager time at which the oldest buffered
 // record becomes emittable, and false when nothing is buffered. The ISM
 // merger uses it to sleep precisely instead of polling.
 func (s *Sorter) NextDeadline() (int64, bool) {
+	ts, ok := s.oldest()
+	return ts + int64(s.t), ok
+}
+
+// oldest returns the smallest buffered timestamp, and false when nothing
+// is buffered.
+func (s *Sorter) oldest() (int64, bool) {
 	if !s.onHeap {
-		ts, ok := s.cal.oldest()
-		if !ok {
-			return 0, false
-		}
-		return ts + int64(s.t), true
+		return s.cal.oldest()
 	}
 	if len(s.h) == 0 {
 		return 0, false
 	}
-	return s.h[0].head().TS + int64(s.t), true
+	return s.h[0].head().ts, true
 }
 
-// srcQueue is one source's FIFO with an amortized head index. Under the
-// calendar core the queue itself stays empty (records live in the
-// bucket ring) but the struct remains the source's accounting record:
-// buffered count, quota, loss accumulators, and the monotonicity
-// watermark below.
+// srcQueue is one source's FIFO with an amortized head index: keys in
+// arrival order over one byte slab. Under the calendar core the queue
+// itself stays empty (records live in the bucket ring) but the struct
+// remains the source's accounting record: buffered count, quota, loss
+// accumulators, and the monotonicity watermark below.
 type srcQueue struct {
 	src  int32
-	recs []record.Record
+	idx  uint32 // position in Sorter.srcs, what keys carry
+	keys []sortKey
+	slab []byte
 	hd   int
 	pos  int // index in the heap, -1 when absent
 
@@ -537,62 +636,39 @@ type srcQueue struct {
 	lossFirst, lossLast int64
 }
 
-func (q *srcQueue) empty() bool          { return q.hd >= len(q.recs) }
-func (q *srcQueue) head() *record.Record { return &q.recs[q.hd] }
+func (q *srcQueue) empty() bool    { return q.hd >= len(q.keys) }
+func (q *srcQueue) head() *sortKey { return &q.keys[q.hd] }
 
-// push deep-copies r into the tail slot, reusing the slot's previous
-// Fields array so a queue in steady state never allocates.
-func (q *srcQueue) push(r record.Record) {
-	// Compact once the dead prefix dominates. The live record moving into
-	// slot i still aliases the Fields array sitting in its old slot hd+i,
-	// so that slot must not keep it; park the dead record i's array there
-	// instead (it was emitted, its borrow window is over), which keeps
-	// every slot's storage reusable and compaction allocation-free.
-	if q.hd > 64 && q.hd*2 > len(q.recs) {
-		n := len(q.recs) - q.hd
-		for i := 0; i < n; i++ {
-			free := q.recs[i].Fields[:0]
-			q.recs[i] = q.recs[q.hd+i]
-			q.recs[q.hd+i] = record.Record{Fields: free}
+// push copies body into the queue's slab under k. Once the dead prefix
+// dominates, the live keys and their bytes slide to the front first, so a
+// queue in steady state reuses its storage and never allocates.
+func (q *srcQueue) push(k sortKey, body []byte) {
+	if q.hd > 64 && q.hd*2 > len(q.keys) {
+		base := q.keys[q.hd].off
+		q.slab = q.slab[:copy(q.slab, q.slab[base:])]
+		q.keys = q.keys[:copy(q.keys, q.keys[q.hd:])]
+		for i := range q.keys {
+			q.keys[i].off -= base
 		}
-		q.recs = q.recs[:n]
 		q.hd = 0
 	}
-	if len(q.recs) < cap(q.recs) {
-		q.recs = q.recs[:len(q.recs)+1]
-	} else {
-		q.recs = append(q.recs, record.Record{})
-	}
-	slot := &q.recs[len(q.recs)-1]
-	fields := slot.Fields[:0]
-	*slot = r
-	slot.Fields = append(fields, r.Fields...)
+	q.keys, q.slab = store(q.keys, q.slab, k, body)
 }
 
-// pop removes and returns the head record. The slot — including the
-// Fields array the returned record aliases — is left in place for a later
-// push to reuse, which is what bounds Extract's borrowing window.
-func (q *srcQueue) pop() record.Record {
-	r := q.recs[q.hd]
+// pop retires the head key. Its bytes stay where they are until a later
+// push reuses the slab, which is what bounds Extract's borrowing window.
+func (q *srcQueue) pop() {
 	q.hd++
 	if q.empty() {
-		q.recs = q.recs[:0]
-		q.hd = 0
+		q.keys, q.slab, q.hd = q.keys[:0], q.slab[:0], 0
 	}
-	return r
 }
 
 // srcHeap orders source queues by (head timestamp, head sequence).
 type srcHeap []*srcQueue
 
-func (h srcHeap) Len() int { return len(h) }
-func (h srcHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.TS != b.TS {
-		return a.TS < b.TS
-	}
-	return a.Seq < b.Seq
-}
+func (h srcHeap) Len() int           { return len(h) }
+func (h srcHeap) Less(i, j int) bool { return h[i].head().before(h[j].head()) }
 func (h srcHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].pos = i

@@ -12,6 +12,19 @@ func rec(ts int64) record.Record {
 	return record.New(1, record.TSVal(ts), record.I32Val(int32(ts%1000)))
 }
 
+// fieldAt materialises a sorter-emitted record — the sorter hands out
+// bytes, not values — and returns field i, counting from the end when i
+// is negative.
+func fieldAt(r record.Record, i int) record.Value {
+	if err := r.Materialize(); err != nil {
+		panic(err)
+	}
+	if i < 0 {
+		i += len(r.Fields)
+	}
+	return r.Fields[i]
+}
+
 // collect drains via Extract at the given manager time.
 func collect(s *Sorter, now int64) []record.Record {
 	var out []record.Record

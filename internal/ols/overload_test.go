@@ -162,7 +162,7 @@ func TestPropertyConservationUnderBounds(t *testing.T) {
 		pushed := map[int32]uint64{}
 		emitted := map[int32]uint64{}
 		var now int64
-		emit := func(r record.Record) { emitted[int32(r.Fields[1].Bits)]++ }
+		emit := func(r record.Record) { emitted[int32(fieldAt(r, 1).Bits)]++ }
 
 		steps := 200 + rng.Intn(200)
 		for i := 0; i < steps; i++ {

@@ -225,7 +225,7 @@ func TestPropertyAdversarialMultisetConserved(t *testing.T) {
 		out := make(map[uint64]int, len(in))
 		perSourceLast := map[int32]int64{}
 		emit := func(r record.Record) {
-			id := r.Fields[len(r.Fields)-1].Uint()
+			id := fieldAt(r, -1).Uint()
 			out[key(r.Node, r.TS, id)]++
 			if last, ok := perSourceLast[r.Node]; ok && r.TS < last {
 				t.Errorf("per-source order violated for source %d", r.Node)

@@ -9,7 +9,6 @@
 package ols
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -70,6 +69,7 @@ func NewSharded(cfg Config, n int) *Sharded {
 			s.occRef = func() int { return int(sh.agg.Load()) }
 		}
 		sh.shards[i] = &shard{s: s}
+		sh.runs[i].sorter = s
 	}
 	return sh
 }
@@ -92,13 +92,13 @@ func (sh *Sharded) Push(src int32, rec record.Record, now int64) {
 	shd := sh.shards[sh.shardFor(src)]
 	shd.mu.Lock()
 	before := shd.s.buffered
-	shd.s.Push(src, rec, now)
+	shd.s.push(shd.s.source(src), &rec, now)
 	sh.agg.Add(int64(shd.s.buffered - before))
 	shd.mu.Unlock()
 }
 
-// PushBatch enqueues a decoded batch from one source, taking the shard
-// lock once for the whole batch.
+// PushBatch enqueues a batch from one source, taking the shard lock and
+// resolving the source once for the whole batch.
 func (sh *Sharded) PushBatch(src int32, recs []record.Record, now int64) {
 	if len(recs) == 0 {
 		return
@@ -106,48 +106,61 @@ func (sh *Sharded) PushBatch(src int32, recs []record.Record, now int64) {
 	shd := sh.shards[sh.shardFor(src)]
 	shd.mu.Lock()
 	before := shd.s.buffered
+	q := shd.s.source(src)
 	for i := range recs {
-		shd.s.Push(src, recs[i], now)
+		shd.s.push(q, &recs[i], now)
 	}
 	sh.agg.Add(int64(shd.s.buffered - before))
 	shd.mu.Unlock()
 }
 
-// PushMixed enqueues a decoded batch whose records carry their own
-// origin in rec.Node — a relay-forwarded batch interleaving many
-// sources. Records are routed shard-by-shard exactly as Push would route
-// them individually, but the shard lock is taken once per consecutive
-// same-shard run. Relative order within each source is preserved (the
-// batch is scanned front to back), so per-source FIFO holds.
+// PushMixed enqueues a batch whose records carry their own origin in
+// rec.Node — a relay-forwarded batch interleaving many sources. Records
+// reach the shard Push would route them to individually, but each shard's
+// lock is taken once for the whole batch (the batch is walked once per
+// shard), and a source is resolved once per consecutive run of its
+// records. Every walk is front to back, so relative order within each
+// source — and within each shard, which numbers its own arrivals — is the
+// batch's, and per-source FIFO holds.
 func (sh *Sharded) PushMixed(recs []record.Record, now int64) {
-	for i := 0; i < len(recs); {
-		si := sh.shardFor(recs[i].Node)
-		j := i + 1
-		for j < len(recs) && sh.shardFor(recs[j].Node) == si {
-			j++
+	for si, shd := range sh.shards {
+		var q *srcQueue
+		before := 0
+		for i := range recs {
+			r := &recs[i]
+			if len(sh.shards) > 1 && sh.shardFor(r.Node) != si {
+				continue
+			}
+			if q == nil {
+				shd.mu.Lock()
+				before = shd.s.buffered
+			}
+			if q == nil || q.src != r.Node {
+				q = shd.s.source(r.Node)
+			}
+			shd.s.push(q, r, now)
 		}
-		shd := sh.shards[si]
-		shd.mu.Lock()
-		before := shd.s.buffered
-		for k := i; k < j; k++ {
-			shd.s.Push(recs[k].Node, recs[k], now)
+		if q != nil {
+			sh.agg.Add(int64(shd.s.buffered - before))
+			shd.mu.Unlock()
 		}
-		sh.agg.Add(int64(shd.s.buffered - before))
-		shd.mu.Unlock()
-		i = j
 	}
 }
 
 // Extract emits, in merged timestamp order, every buffered record that
-// has aged at least its shard's T. The same now is applied to every
-// shard within the pass, which is what keeps the merged stream monotone
-// whenever each T covers its sources' lateness: a record that could
-// order before an already-merged one must have been at least as aged at
-// the same instant, so it was extracted in the same or an earlier pass.
+// has aged at least T, the widest time frame of any shard. One now and
+// one gate for every shard within the pass is what keeps the merged
+// stream monotone whenever T covers the sources' lateness: a record that
+// could order before an already-merged one was at least as aged at the
+// same instant, so it was extracted in the same or an earlier pass.
+// (Gating each shard by its own T let a shard of punctual sources run
+// ahead of a shard of late ones by the difference, and everything the
+// late shard then emitted arrived behind the merged frontier.)
 //
 // The records passed to emit are valid only until the next Extract or
-// Flush call (their Fields live in merge staging reused per pass);
-// callers retaining them longer must record.Detach them.
+// Flush call (their bytes live in merge staging reused per pass, or with
+// one shard in the sorter's slabs); callers retaining them longer must
+// record.Detach them.
 func (sh *Sharded) Extract(now int64, emit func(record.Record)) int {
 	if len(sh.shards) == 1 {
 		shd := sh.shards[0]
@@ -158,11 +171,17 @@ func (sh *Sharded) Extract(now int64, emit func(record.Record)) int {
 		shd.mu.Unlock()
 		return n
 	}
-	for i, shd := range sh.shards {
+	var gate int64
+	for _, shd := range sh.shards {
 		shd.mu.Lock()
 		shd.s.decay(now)
+		gate = max(gate, shd.s.TimeFrame())
+		shd.mu.Unlock()
+	}
+	for i, shd := range sh.shards {
+		shd.mu.Lock()
 		before := shd.s.buffered
-		shd.s.extractSwap(now, &sh.runs[i])
+		shd.s.extract(now, gate, sh.runs[i].stage)
 		sh.agg.Add(int64(shd.s.buffered - before))
 		shd.mu.Unlock()
 	}
@@ -189,7 +208,7 @@ func (sh *Sharded) Flush(emit func(record.Record)) int {
 	for i, shd := range sh.shards {
 		shd.mu.Lock()
 		before := shd.s.buffered
-		shd.s.extractSwap(math.MaxInt64, &sh.runs[i])
+		shd.s.extract(math.MaxInt64, 0, sh.runs[i].stage)
 		sh.agg.Add(int64(shd.s.buffered - before))
 		shd.mu.Unlock()
 	}
@@ -210,15 +229,17 @@ func (sh *Sharded) mergeRuns(emit func(record.Record)) int {
 			break
 		}
 		ru := &sh.runs[w]
-		r := ru.head()
-		if r == nil {
+		hd := ru.head()
+		if hd == nil {
 			break
 		}
+		r := record.FromEncoded(ru.slab[hd.off:][:hd.n], int(hd.tsOff), hd.ts)
+		r.Node, r.Seq = int32(hd.src), hd.seq
 		sh.gLastTS.Store(r.TS)
 		sh.gLastSrc.Store(r.Node)
 		sh.gEmitted.Store(true)
 		ru.next++
-		emit(*r)
+		emit(r)
 		n++
 		sh.lt.adjust(w, sh.runWins)
 	}
@@ -238,16 +259,16 @@ func (sh *Sharded) runWins(a, b int) bool {
 	if b < 0 {
 		return true
 	}
-	ra := sh.runs[a].head()
-	rb := sh.runs[b].head()
-	if ra == nil {
+	ka := sh.runs[a].head()
+	kb := sh.runs[b].head()
+	if ka == nil {
 		return false
 	}
-	if rb == nil {
+	if kb == nil {
 		return true
 	}
-	if ra.TS != rb.TS {
-		return ra.TS < rb.TS
+	if ka.ts != kb.ts {
+		return ka.ts < kb.ts
 	}
 	return a < b
 }
@@ -255,6 +276,16 @@ func (sh *Sharded) runWins(a, b int) bool {
 // Buffered returns the aggregate number of records delayed in memory
 // across all shards.
 func (sh *Sharded) Buffered() int { return int(sh.agg.Load()) }
+
+// SlabBytes returns the encoded bytes of the records delayed in memory
+// across all shards (see Sorter.SlabBytes).
+func (sh *Sharded) SlabBytes() int {
+	n := 0
+	for i := range sh.shards {
+		n += sh.ShardSlabBytes(i)
+	}
+	return n
+}
 
 // MergeStalls counts Extract passes (with shards > 1) that emitted
 // nothing while records were buffered — every shard's head still inside
@@ -344,6 +375,15 @@ func (sh *Sharded) ShardBuffered(i int) int {
 	return shd.s.Buffered()
 }
 
+// ShardSlabBytes returns the encoded bytes of the records shard i has
+// delayed.
+func (sh *Sharded) ShardSlabBytes(i int) int {
+	shd := sh.shards[i]
+	shd.mu.Lock()
+	defer shd.mu.Unlock()
+	return shd.s.SlabBytes()
+}
+
 // BufferedBySource returns the number of records the given source has
 // delayed in memory.
 func (sh *Sharded) BufferedBySource(src int32) int {
@@ -374,109 +414,57 @@ func (sh *Sharded) DropsBySource(fn func(src int32, dropped uint64)) {
 }
 
 // NextDeadline returns the earliest manager time at which any shard's
-// oldest buffered record becomes emittable, and false when nothing is
-// buffered anywhere.
+// oldest buffered record becomes emittable — it ages by the widest time
+// frame, as Extract gates — and false when nothing is buffered anywhere.
 func (sh *Sharded) NextDeadline() (int64, bool) {
-	var best int64
+	var first, gate int64
 	ok := false
 	for _, shd := range sh.shards {
 		shd.mu.Lock()
-		d, has := shd.s.NextDeadline()
+		gate = max(gate, shd.s.TimeFrame())
+		ts, has := shd.s.oldest()
 		shd.mu.Unlock()
-		if has && (!ok || d < best) {
-			best, ok = d, true
+		if has && (!ok || ts < first) {
+			first, ok = ts, true
 		}
 	}
-	return best, ok
+	return first + gate, ok
 }
 
-// extractSwap is extract for a staged shard: every aged record moves
-// into dst owning its Fields array outright, and the vacated queue or
-// bucket slot receives a recycled array from dst in exchange. The
-// staged records therefore stay valid after the shard lock is released
-// — a concurrent Push reusing the slot writes into the swapped-in
-// spare, not into the array the merge is about to emit — while both
-// shard and staging storage stay allocation-free in steady state (the
-// arrays circulate between sorter slots and run slots). Like extract,
-// it dispatches to the shard's live core.
-func (s *Sorter) extractSwap(now int64, dst *mergeRun) int {
-	if !s.onHeap {
-		return s.calDrainSwap(now, dst)
-	}
-	n := s.extractSwapHeap(now, dst)
-	s.maybeRevert()
-	return n
-}
-
-// extractSwapHeap is extractSwap's heap-core loop.
-func (s *Sorter) extractSwapHeap(now int64, dst *mergeRun) int {
-	n := 0
-	for len(s.h) > 0 {
-		q := s.h[0]
-		if now-q.head().TS < int64(s.t) {
-			break
-		}
-		slot := q.head()
-		rec := *slot
-		slot.Fields = dst.put(rec)
-		q.hd++
-		if q.empty() {
-			q.recs = q.recs[:0]
-			q.hd = 0
-			heap.Pop(&s.h)
-		} else {
-			heap.Fix(&s.h, 0)
-		}
-		q.buffered--
-		s.buffered--
-		s.lastTS = rec.TS
-		s.lastSrc = q.src
-		s.emitted = true
-		s.stats.Emitted++
-		n++
-	}
-	return n
-}
-
-// mergeRun is one shard's staging area for a merge pass: records in
-// shard-emission (timestamp) order, consumed head-first by the loser
-// tree. Slots are reused across passes, so the Fields arrays parked in
-// them by previous passes are handed back to shard queue slots as the
-// swap currency of extractSwap.
+// mergeRun is one shard's staging area for a merge pass: keys in
+// shard-emission (timestamp) order over a slab of their bytes, consumed
+// head-first by the loser tree. Both are refilled per pass, so the staged
+// records stay valid after the shard lock is released — a concurrent Push
+// writes into shard slabs, not into the bytes the merge is about to emit —
+// and staging allocates nothing in steady state.
 type mergeRun struct {
-	recs []record.Record
-	next int
+	sorter *Sorter   // the shard this run stages for
+	keys   []sortKey // src holds the origin node id here, not a srcs index
+	slab   []byte
+	next   int
 }
 
-// put appends r to the run, taking ownership of r.Fields, and returns
-// the Fields array displaced from the reused slot for the caller to
-// park in the queue slot r came from.
-func (ru *mergeRun) put(r record.Record) []record.Value {
-	if len(ru.recs) < cap(ru.recs) {
-		ru.recs = ru.recs[:len(ru.recs)+1]
-	} else {
-		ru.recs = append(ru.recs, record.Record{})
-	}
-	slot := &ru.recs[len(ru.recs)-1]
-	spare := slot.Fields[:0]
-	*slot = r
-	return spare
+// stage is the run's extract sink: it copies one aged key and its bytes
+// out of the shard (the shard lock is held).
+func (ru *mergeRun) stage(k *sortKey, slab []byte) {
+	staged := *k
+	staged.src = uint32(ru.sorter.srcs[k.src].src)
+	ru.keys, ru.slab = store(ru.keys, ru.slab, staged, slab[k.off:][:k.n])
 }
 
-// head returns the next unconsumed record, or nil when the run is
+// head returns the next unconsumed key, or nil when the run is
 // exhausted.
-func (ru *mergeRun) head() *record.Record {
-	if ru.next >= len(ru.recs) {
+func (ru *mergeRun) head() *sortKey {
+	if ru.next >= len(ru.keys) {
 		return nil
 	}
-	return &ru.recs[ru.next]
+	return &ru.keys[ru.next]
 }
 
-// reset empties the run for the next pass, keeping slot storage (and
-// the Fields arrays it holds) for reuse. The just-emitted records stay
-// readable until the next pass overwrites them, which is the borrow
-// window Extract documents.
-func (ru *mergeRun) reset() { ru.recs = ru.recs[:0]; ru.next = 0 }
+// reset empties the run for the next pass, keeping its storage for
+// reuse. The just-emitted records stay readable until the next pass
+// overwrites them, which is the borrow window Extract documents.
+func (ru *mergeRun) reset() { ru.keys, ru.slab, ru.next = ru.keys[:0], ru.slab[:0], 0 }
 
 // loserTree is a tournament tree over k merge runs. node[0] holds the
 // overall winner; node[1..k-1] hold the loser of the match played at

@@ -33,7 +33,7 @@ func TestShardedSingleShardMatchesSorter(t *testing.T) {
 	run := func(push func(int32, record.Record, int64), extract func(int64, func(record.Record)) int, flush func(func(record.Record)) int) []ev {
 		var out []ev
 		emit := func(r record.Record) {
-			out = append(out, ev{r.Node, r.TS, r.Fields[len(r.Fields)-1].Uint()})
+			out = append(out, ev{r.Node, r.TS, fieldAt(r, -1).Uint()})
 		}
 		for _, a := range m.arrivals {
 			push(a.src, a.r, a.at)
@@ -75,7 +75,7 @@ func TestShardedPropertyMultisetConserved(t *testing.T) {
 				out := make(map[uint64]int, len(in))
 				perSourceLast := map[int32]int64{}
 				emit := func(r record.Record) {
-					id := r.Fields[len(r.Fields)-1].Uint()
+					id := fieldAt(r, -1).Uint()
 					out[key(r.Node, r.TS, id)]++
 					if last, ok := perSourceLast[r.Node]; ok && r.TS < last {
 						t.Errorf("per-source order violated for source %d", r.Node)
@@ -272,7 +272,7 @@ func TestShardedConcurrentConservation(t *testing.T) {
 			out := make(map[uint64]int, sources*perSource)
 			perSourceLast := map[int32]int64{}
 			emit := func(r record.Record) {
-				id := r.Fields[len(r.Fields)-1].Uint()
+				id := fieldAt(r, -1).Uint()
 				out[key(r.Node, r.TS, id)]++
 				if last, ok := perSourceLast[r.Node]; ok && r.TS < last {
 					t.Errorf("per-source order violated for source %d", r.Node)

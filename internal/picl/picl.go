@@ -57,6 +57,7 @@ type Writer struct {
 	start   int64 // µs, zero point for TimeRelative
 	lines   uint64
 	scratch []byte // one rendered line, recycled across records
+	fields  [record.MaxFields]record.Value
 }
 
 // NewWriter returns a writer in the given time mode; start is the UTC
@@ -85,9 +86,15 @@ func (w *Writer) WriteRecord(r *record.Record) error {
 	default:
 		b = strconv.AppendInt(b, r.TS, 10)
 	}
-	// Data fields exclude the timestamp (already the time column).
+	// Data fields exclude the timestamp (already the time column). A
+	// record that is still only bytes is decoded here, into the writer's
+	// own array.
+	fields, err := r.DecodeFields(&w.fields)
+	if err != nil {
+		return err
+	}
 	n := 0
-	for _, f := range r.Fields {
+	for _, f := range fields {
 		if f.Type != record.TS {
 			n++
 		}
@@ -96,7 +103,7 @@ func (w *Writer) WriteRecord(r *record.Record) error {
 	b = strconv.AppendInt(b, int64(r.Node), 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(n), 10)
-	for _, f := range r.Fields {
+	for _, f := range fields {
 		if f.Type == record.TS {
 			continue
 		}
@@ -105,7 +112,7 @@ func (w *Writer) WriteRecord(r *record.Record) error {
 	}
 	b = append(b, '\n')
 	w.scratch = b
-	_, err := w.bw.Write(b)
+	_, err = w.bw.Write(b)
 	return err
 }
 

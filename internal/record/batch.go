@@ -6,30 +6,19 @@ import (
 )
 
 // DecodeAppend parses every record concatenated in payload, appends each
-// onto dst and returns the extended slice — the manager's batch-decode hot
-// path. Element storage is reused: when dst has spare capacity, the
-// element occupying the next slot keeps its Fields array and DecodeInto
-// fills it in place, so a batch slice recycled through GetBatch/PutBatch
-// decodes with zero steady-state allocations.
+// onto dst and returns the extended slice. Element storage is reused:
+// when dst has spare capacity, the element occupying the next slot keeps
+// its Fields array and the decoder fills it in place, so a batch slice
+// recycled through GetBatch/PutBatch decodes with zero steady-state
+// allocations.
 //
-// Decoded records borrow that recycled storage: they are valid until the
-// batch is returned with PutBatch. Consumers keeping a record longer must
-// Detach it. On a malformed payload the successfully decoded prefix is
-// returned together with the error.
+// Decoded records borrow that recycled storage, and payload itself as
+// their encoded body: they are valid until the batch is returned with
+// PutBatch or payload is reused, whichever is first. Consumers keeping a
+// record longer must Detach it. On a malformed payload the successfully
+// decoded prefix is returned together with the error.
 func DecodeAppend(dst []Record, payload []byte) ([]Record, error) {
-	for len(payload) > 0 {
-		if len(dst) < cap(dst) {
-			dst = dst[:len(dst)+1]
-		} else {
-			dst = append(dst, Record{})
-		}
-		n, err := DecodeInto(&dst[len(dst)-1], payload)
-		if err != nil {
-			return dst[:len(dst)-1], err
-		}
-		payload = payload[n:]
-	}
-	return dst, nil
+	return appendEach(dst, payload, false, decodeBorrow)
 }
 
 // ErrShortPrefix reports a node-prefixed payload that ends inside a
@@ -39,22 +28,53 @@ var ErrShortPrefix = errors.New("record: truncated node prefix")
 // DecodeNodeAppend parses a payload of node-prefixed entries — each
 // record preceded by its 4-byte big-endian origin node id, the framing
 // shared by the shm memory buffer and the wire RelayBatch — appending
-// each onto dst with Node set from its prefix. Storage reuse and
-// error-prefix semantics match DecodeAppend.
+// each onto dst with Node set from its prefix. Storage reuse, borrowing
+// and error-prefix semantics match DecodeAppend.
 func DecodeNodeAppend(dst []Record, payload []byte) ([]Record, error) {
+	return appendEach(dst, payload, true, decodeBorrow)
+}
+
+// ScanAppend is DecodeAppend without the decode: every record is
+// validated by Scan and appended as header plus borrowed body, Fields
+// left empty — the manager's batch-ingest hot path.
+func ScanAppend(dst []Record, payload []byte) ([]Record, error) {
+	return appendEach(dst, payload, false, Scan)
+}
+
+// ScanNodeAppend is ScanAppend for node-prefixed entries (see
+// DecodeNodeAppend).
+func ScanNodeAppend(dst []Record, payload []byte) ([]Record, error) {
+	return appendEach(dst, payload, true, Scan)
+}
+
+// decodeBorrow is the full decode that also attaches buf as the body.
+func decodeBorrow(r *Record, buf []byte) (int, error) {
+	n, tsOff, err := parse(r, buf, true)
+	if err == nil {
+		r.enc, r.tsOff = buf[:n], uint16(tsOff)
+	}
+	return n, err
+}
+
+// appendEach is the loop the four batch parsers share: one parse per
+// record (after its node prefix, when prefixed) into the next slot of dst.
+func appendEach(dst []Record, payload []byte, prefixed bool, parse func(*Record, []byte) (int, error)) ([]Record, error) {
 	for len(payload) > 0 {
-		if len(payload) < 4 {
-			return dst, ErrShortPrefix
+		var node int32
+		if prefixed {
+			if len(payload) < 4 {
+				return dst, ErrShortPrefix
+			}
+			node = int32(uint32(payload[0])<<24 | uint32(payload[1])<<16 |
+				uint32(payload[2])<<8 | uint32(payload[3]))
+			payload = payload[4:]
 		}
-		node := int32(uint32(payload[0])<<24 | uint32(payload[1])<<16 |
-			uint32(payload[2])<<8 | uint32(payload[3]))
-		payload = payload[4:]
 		if len(dst) < cap(dst) {
 			dst = dst[:len(dst)+1]
 		} else {
 			dst = append(dst, Record{})
 		}
-		n, err := DecodeInto(&dst[len(dst)-1], payload)
+		n, err := parse(&dst[len(dst)-1], payload)
 		if err != nil {
 			return dst[:len(dst)-1], err
 		}

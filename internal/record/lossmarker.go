@@ -1,5 +1,7 @@
 package record
 
+import "brisk/internal/xdr"
+
 // LossEvent is the reserved event class of loss-marker records: synthetic
 // records injected into the merged stream wherever the pipeline had to
 // drop data it had already accepted. The marker makes the gap explicit to
@@ -26,9 +28,17 @@ func NewLossMarker(count uint64, firstTS, lastTS int64) Record {
 }
 
 // IsLossMarker reports whether r is a loss-marker record (event class
-// LossEvent with the marker field shape).
+// LossEvent with the marker field shape), read off whichever
+// representation r has.
 func IsLossMarker(r *Record) bool {
-	return r.Event == LossEvent && len(r.Fields) == 3 &&
+	if r.Event != LossEvent {
+		return false
+	}
+	if r.enc != nil {
+		// Canonical header: three fields, nibbles TS|Uint64, Int64|0.
+		return r.enc[3] == 3<<4 && r.enc[4] == byte(TS)<<4|byte(Uint64) && r.enc[5] == byte(Int64)<<4
+	}
+	return len(r.Fields) == 3 &&
 		r.Fields[0].Type == TS && r.Fields[1].Type == Uint64 &&
 		r.Fields[2].Type == Int64
 }
@@ -38,6 +48,10 @@ func IsLossMarker(r *Record) bool {
 func LossInfo(r *Record) (count uint64, firstTS, lastTS int64, ok bool) {
 	if !IsLossMarker(r) {
 		return 0, 0, 0, false
+	}
+	if r.enc != nil {
+		// The three fields are 8 bytes each, in order, after the header.
+		return xdr.Uint64At(r.enc[HeaderSize+8:]), int64(xdr.Uint64At(r.enc[HeaderSize+16:])), r.TS, true
 	}
 	return r.Fields[1].Bits, int64(r.Fields[2].Bits), int64(r.Fields[0].Bits), true
 }

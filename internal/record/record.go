@@ -234,22 +234,37 @@ func (v Value) GoString() string {
 	}
 }
 
-// Record is one decoded instrumentation-data record. Node identifies the
+// Record is one instrumentation-data record. Node identifies the
 // originating node; it travels in the batch header rather than the record
 // itself and is filled in by the manager on receipt.
+//
+// A record has two representations. One built from values (New, Decode,
+// DecodeInto) is its Fields. One the manager moves (Scan, DecodeAppend,
+// FromEncoded) also — or only — carries an encoded body: the record's
+// canonical bytes, borrowed from whoever produced them. The header
+// fields (Node, Event, TS, HasTS, Seq, Reason, Conseq) are authoritative
+// in both; when a body is present it is what Append emits, with the
+// header's TS patched over the body's, and Fields is a decoded view that
+// stays empty until someone asks for it (DecodeFields, Materialize).
 type Record struct {
 	// Node is the originating node identifier (assigned at EXS HELLO).
 	Node int32
 	// Event is the application-chosen event class.
 	Event uint8
 	// Fields holds every field in positional order, including the system
-	// fields, so encoding round-trips exactly.
+	// fields, so encoding round-trips exactly. Empty on an encoded-body
+	// record until it is materialised.
 	Fields []Value
 
 	// TS caches the value of the first TS field, in microseconds of UTC,
 	// or 0 if the record carries none. HasTS distinguishes a genuine zero.
+	// The sorter hands a record without a TS field its arrival time here
+	// (HasTS stays false): the time it was sorted by.
 	TS    int64
 	HasTS bool
+	// tsOff is the offset of the first TS field inside enc; 0 when the
+	// body has none (no field starts before HeaderSize).
+	tsOff uint16
 	// Reason and Conseq cache the identifiers of the first Reason/Conseq
 	// fields; 0 means absent (identifier 0 is reserved).
 	Reason uint64
@@ -258,6 +273,12 @@ type Record struct {
 	// Seq is a manager-side per-source sequence number used by the
 	// on-line sorter to keep per-source FIFO order among equal timestamps.
 	Seq uint64
+
+	// enc is the borrowed encoded body (meta header plus XDR fields), nil
+	// on a record that exists only as Fields. It is valid for as long as
+	// its producer documents: a decode batch until its payload is reused,
+	// a sorter emission until the next Push or Extract.
+	enc []byte
 }
 
 // reindex refreshes the cached system-field views from Fields.
@@ -291,39 +312,143 @@ func New(event uint8, fields ...Value) Record {
 	return r
 }
 
-// SetTS overwrites the record's first TS field (and cache) with the given
-// microsecond timestamp. The manager uses this to repair tachyons; the
-// external sensor uses it to apply the clock-correction value.
+// SetTS gives the record the microsecond timestamp usec. The manager uses
+// this to repair tachyons and to stamp records that arrive without a
+// timestamp; the external sensor uses it to apply the clock-correction
+// value. On an encoded-body record only the header changes — Append
+// patches the body's TS field from it. A record with no TS field gets one
+// prepended so downstream consumers see it; a record that is already
+// MaxFields wide has no room for one and keeps the time in its header
+// alone (HasTS stays false, its encoding is unchanged).
 func (r *Record) SetTS(usec int64) {
-	for i, f := range r.Fields {
-		if f.Type == TS {
+	r.TS = usec
+	for i := range r.Fields {
+		if r.Fields[i].Type == TS {
 			r.Fields[i].Bits = uint64(usec)
-			r.TS = usec
 			r.HasTS = true
 			return
 		}
 	}
-	// No TS field: prepend one so downstream consumers always see it.
+	if r.tsOff != 0 {
+		r.HasTS = true
+		return
+	}
+	if r.numFields() >= MaxFields {
+		return
+	}
+	if r.Materialize() != nil {
+		return // cannot happen on a body Scan or Decode vouched for
+	}
+	r.enc = nil
 	r.Fields = append([]Value{TSVal(usec)}, r.Fields...)
-	r.TS = usec
 	r.HasTS = true
 }
 
-// Detach gives the record a private copy of its Fields array. Decoded and
-// sorter-emitted records borrow storage that their producer reuses (a
-// pooled batch slice, a source-queue slot); any consumer that retains a
+// numFields returns the number of fields the record carries, whichever
+// representation holds them.
+func (r *Record) numFields() int {
+	if r.enc != nil {
+		return int(r.enc[3] >> 4)
+	}
+	return len(r.Fields)
+}
+
+// FromEncoded returns a record over body, one canonical encoded record
+// that Scan, a decoder or AppendBody already vouched for (nothing is
+// validated here). tsOff is the body's TS-field offset as those reported
+// it (0: none) and ts the timestamp the header takes. The record borrows
+// body; Node and Seq are the caller's to fill in.
+func FromEncoded(body []byte, tsOff int, ts int64) (r Record) {
+	r.Event, r.TS, r.HasTS, r.tsOff, r.enc = body[2], ts, tsOff != 0, uint16(tsOff), body
+	// Reason (0xE) and Conseq (0xF) are the two type codes with their top
+	// three bits set: one AND chain over the packed nibbles tells whether
+	// the body has to be parsed again for causal identifiers at all.
+	nib := uint32(body[4])<<24 | uint32(body[5])<<16 | uint32(body[6])<<8 | uint32(body[7])
+	if nib&(nib<<1)&(nib<<2)&0x88888888 != 0 {
+		var hdr Record
+		if _, _, err := parse(&hdr, body, false); err == nil {
+			r.Reason, r.Conseq = hdr.Reason, hdr.Conseq
+		}
+	}
+	return r
+}
+
+// nibble returns the type code of field i from an encoded header.
+func nibble(buf []byte, i int) Type {
+	code := buf[4+i/2]
+	if i%2 == 0 {
+		return Type(code >> 4)
+	}
+	return Type(code & 0x0F)
+}
+
+// materialized reports whether Fields holds the record's fields already.
+func (r *Record) materialized() bool {
+	return r.enc == nil || len(r.Fields) > 0 || r.enc[3]>>4 == 0
+}
+
+// DecodeFields returns the record's fields: Fields itself when it is
+// filled in, otherwise the encoded body decoded into buf, which no record
+// outgrows. The header's TS is written over the decoded TS field, so the
+// view agrees with what Append would emit. Nothing is allocated unless a
+// field is a string.
+func (r *Record) DecodeFields(buf *[MaxFields]Value) ([]Value, error) {
+	if r.materialized() {
+		return r.Fields, nil
+	}
+	tmp := Record{Fields: buf[:0]}
+	if _, _, err := parse(&tmp, r.enc, true); err != nil {
+		return nil, err
+	}
+	if r.tsOff != 0 {
+		for i := range tmp.Fields {
+			if tmp.Fields[i].Type == TS {
+				tmp.Fields[i].Bits = uint64(r.TS)
+				break
+			}
+		}
+	}
+	return tmp.Fields, nil
+}
+
+// Materialize fills Fields from the encoded body if it has not been
+// decoded yet, into an array of the record's own.
+func (r *Record) Materialize() error {
+	if r.materialized() {
+		return nil
+	}
+	var buf [MaxFields]Value
+	fields, err := r.DecodeFields(&buf)
+	if err != nil {
+		return err
+	}
+	r.Fields = append(r.Fields[:0], fields...)
+	return nil
+}
+
+// Detach gives the record private storage. Decoded and sorter-emitted
+// records borrow storage that their producer reuses (a pooled batch slice
+// and its wire payload, a sorter slab); any consumer that retains a
 // record beyond the borrowing window documented by its producer must
-// Detach it first.
+// Detach it first. A materialised record keeps a copy of its Fields and
+// lets the body go; one that is only bytes keeps a copy of the bytes.
 func (r *Record) Detach() {
-	if len(r.Fields) == 0 {
-		r.Fields = nil
+	if len(r.Fields) > 0 {
+		r.Fields = append([]Value(nil), r.Fields...)
+		r.enc, r.tsOff = nil, 0
 		return
 	}
-	r.Fields = append([]Value(nil), r.Fields...)
+	r.Fields = nil
+	if r.enc != nil {
+		r.enc = append([]byte(nil), r.enc...)
+	}
 }
 
 // WireSize returns the encoded size of the record in bytes.
 func (r *Record) WireSize() int {
+	if r.enc != nil {
+		return len(r.enc)
+	}
 	n := HeaderSize
 	for _, f := range r.Fields {
 		n += f.WireSize()
@@ -338,7 +463,12 @@ func (r *Record) String() string {
 	if r.HasTS {
 		fmt.Fprintf(&b, " ts=%d", r.TS)
 	}
-	for _, f := range r.Fields {
+	var buf [MaxFields]Value
+	fields, err := r.DecodeFields(&buf)
+	if err != nil {
+		fmt.Fprintf(&b, " (%v)", err)
+	}
+	for _, f := range fields {
 		if f.Type == TS {
 			continue
 		}
@@ -349,22 +479,40 @@ func (r *Record) String() string {
 }
 
 // Append encodes the record (meta header plus XDR fields) onto dst and
-// returns the extended slice. It never allocates beyond growing dst.
+// returns the extended slice. It never allocates beyond growing dst. For
+// an encoded-body record that is a copy of the body plus one patch: the
+// header's TS over the body's TS field.
 func (r *Record) Append(dst []byte) ([]byte, error) {
+	dst, _, err := r.AppendBody(dst)
+	return dst, err
+}
+
+// AppendBody is Append for a caller that keeps the encoding as a body of
+// its own: it also reports the offset of the first TS field from the
+// record's start (0: the record has none), which FromEncoded takes back.
+func (r *Record) AppendBody(dst []byte) ([]byte, int, error) {
+	start := len(dst)
+	if r.enc != nil {
+		dst = append(dst, r.enc...)
+		if r.tsOff != 0 {
+			xdr.PutUint64(dst[start+int(r.tsOff):], uint64(r.TS))
+		}
+		return dst, int(r.tsOff), nil
+	}
 	if len(r.Fields) > MaxFields {
-		return dst, ErrTooManyFields
+		return dst, 0, ErrTooManyFields
 	}
 	size := r.WireSize()
 	if size > math.MaxUint16 {
-		return dst, fmt.Errorf("record: encoded size %d exceeds 64 KiB", size)
+		return dst, 0, fmt.Errorf("record: encoded size %d exceeds 64 KiB", size)
 	}
-	start := len(dst)
 	dst = append(dst, 0, 0, r.Event, byte(len(r.Fields))<<4, 0, 0, 0, 0)
 	dst[start] = byte(size >> 8)
 	dst[start+1] = byte(size)
+	tsOff := 0
 	for i, f := range r.Fields {
 		if !f.Type.Valid() {
-			return dst[:start], fmt.Errorf("%w: field %d has type %v", ErrBadType, i, f.Type)
+			return dst[:start], 0, fmt.Errorf("%w: field %d has type %v", ErrBadType, i, f.Type)
 		}
 		nib := start + 4 + i/2
 		if i%2 == 0 {
@@ -372,9 +520,12 @@ func (r *Record) Append(dst []byte) ([]byte, error) {
 		} else {
 			dst[nib] |= byte(f.Type)
 		}
+		if f.Type == TS && tsOff == 0 {
+			tsOff = len(dst) - start
+		}
 		dst = appendFieldPayload(dst, f)
 	}
-	return dst, nil
+	return dst, tsOff, nil
 }
 
 func appendFieldPayload(dst []byte, f Value) []byte {
@@ -405,121 +556,156 @@ func Decode(buf []byte) (Record, int, error) {
 
 // DecodeInto parses one record from the front of buf into r, reusing r's
 // Fields slice when capacity allows. It returns the number of bytes
-// consumed.
+// consumed. Like Decode it leaves r with no encoded body, so r does not
+// alias buf.
 func DecodeInto(r *Record, buf []byte) (int, error) {
-	if len(buf) < HeaderSize {
-		return 0, fmt.Errorf("%w: %d bytes, need %d for header", ErrTruncated, len(buf), HeaderSize)
+	n, _, err := parse(r, buf, true)
+	return n, err
+}
+
+// Scan validates one record at the front of buf exactly as strictly as
+// DecodeInto — they are one parser, and FuzzScanVsDecode holds it to the
+// decoder it replaced — but extracts only the header: event class, the
+// first TS, Reason and Conseq values, and where the TS field sits. Field
+// values are checked in place and never built. r borrows buf[:n] as its
+// encoded body and keeps Fields empty (capacity retained). This is the
+// manager's ingest path: a record is bytes from the wire to the sinks.
+func Scan(r *Record, buf []byte) (int, error) {
+	n, tsOff, err := parse(r, buf, false)
+	if err == nil {
+		r.enc, r.tsOff = buf[:n], uint16(tsOff)
 	}
-	size := int(buf[0])<<8 | int(buf[1])
+	return n, err
+}
+
+// parse is the one record parser. It checks the record at the front of
+// buf — framing, a canonical meta header, every field's payload in range
+// and in bounds, nothing left over — and fills r's header views; with
+// full set it also builds r.Fields (String payloads are copied), without
+// it Fields is left empty. It returns the record's size and the offset
+// of its first TS field (0: none); r gets no encoded body here.
+func parse(r *Record, buf []byte, full bool) (size, tsOff int, err error) {
+	if len(buf) < HeaderSize {
+		return 0, 0, fmt.Errorf("%w: %d bytes, need %d for header", ErrTruncated, len(buf), HeaderSize)
+	}
+	size = int(buf[0])<<8 | int(buf[1])
 	if size < HeaderSize {
-		return 0, fmt.Errorf("%w: declared size %d < header size", ErrBadHeader, size)
+		return 0, 0, fmt.Errorf("%w: declared size %d < header size", ErrBadHeader, size)
 	}
 	if size > len(buf) {
-		return 0, fmt.Errorf("%w: declared size %d > available %d", ErrTruncated, size, len(buf))
+		return 0, 0, fmt.Errorf("%w: declared size %d > available %d", ErrTruncated, size, len(buf))
 	}
 	nf := int(buf[3] >> 4)
 	if nf > MaxFields {
-		return 0, ErrTooManyFields
+		return 0, 0, ErrTooManyFields
 	}
 	if buf[3]&0x0F != 0 {
-		return 0, fmt.Errorf("%w: reserved flags 0x%x set", ErrBadHeader, buf[3]&0x0F)
+		return 0, 0, fmt.Errorf("%w: reserved flags 0x%x set", ErrBadHeader, buf[3]&0x0F)
 	}
-	r.Node = 0
-	r.Event = buf[2]
-	r.Seq = 0
-	if cap(r.Fields) >= nf {
-		r.Fields = r.Fields[:nf]
-	} else {
-		r.Fields = make([]Value, nf)
+	body := buf[:size]
+	fields := r.Fields[:0]
+	if full {
+		if cap(fields) >= nf {
+			fields = fields[:nf]
+		} else {
+			fields = make([]Value, nf)
+		}
 	}
-	// A stack-allocated decoder: DecodeInto is the per-record hot path of
-	// the manager's ingest workers and must not allocate.
-	var d xdr.Decoder
-	d.Reset(buf[HeaderSize:size])
-	d.MaxOpaque = MaxStringLen
+	*r = Record{Event: body[2], Fields: fields}
+	nibs := uint32(body[4])<<24 | uint32(body[5])<<16 | uint32(body[6])<<8 | uint32(body[7])
+	off := HeaderSize
 	for i := 0; i < nf; i++ {
-		code := buf[4+i/2]
-		if i%2 == 0 {
-			code >>= 4
-		} else {
-			code &= 0x0F
+		t := Type(nibs >> 28)
+		nibs <<= 4
+		v := Value{Type: t}
+		w := t.WireSize()
+		switch {
+		case w == 4:
+			if off+4 > size {
+				return 0, 0, fieldErr(i, t, ErrTruncated)
+			}
+			// The narrow types travel in a full XDR word; the word must
+			// hold a value of the declared width.
+			x := xdr.Uint32At(body[off:])
+			ok := true
+			switch t {
+			case Int8:
+				ok = int32(x) == int32(int8(x))
+				v.Bits = uint64(int64(int8(x)))
+			case Int16:
+				ok = int32(x) == int32(int16(x))
+				v.Bits = uint64(int64(int16(x)))
+			case Int32:
+				v.Bits = uint64(int64(int32(x)))
+			case Uint8:
+				ok = x <= 0xFF
+				v.Bits = uint64(x)
+			case Uint16:
+				ok = x <= 0xFFFF
+				v.Bits = uint64(x)
+			case Bool:
+				ok = x <= 1
+				v.Bits = uint64(x)
+			default: // Uint32, Float32
+				v.Bits = uint64(x)
+			}
+			if !ok {
+				return 0, 0, fieldErr(i, t, fmt.Errorf("%w: payload %d out of range", ErrBadHeader, x))
+			}
+		case w == 8:
+			if off+8 > size {
+				return 0, 0, fieldErr(i, t, ErrTruncated)
+			}
+			v.Bits = xdr.Uint64At(body[off:])
+			switch {
+			case t == TS && tsOff == 0:
+				r.TS, r.HasTS, tsOff = int64(v.Bits), true, off
+			case t == Reason && r.Reason == 0:
+				r.Reason = v.Bits
+			case t == Conseq && r.Conseq == 0:
+				r.Conseq = v.Bits
+			}
+		case t == String:
+			if off+4 > size {
+				return 0, 0, fieldErr(i, t, ErrTruncated)
+			}
+			n := xdr.Uint32At(body[off:])
+			if n > MaxStringLen {
+				return 0, 0, fieldErr(i, t, xdr.ErrLengthRange)
+			}
+			w = xdr.OpaqueLen(int(n))
+			if off+w > size {
+				return 0, 0, fieldErr(i, t, ErrTruncated)
+			}
+			for _, pad := range body[off+4+int(n) : off+w] {
+				if pad != 0 {
+					return 0, 0, fieldErr(i, t, xdr.ErrBadPadding)
+				}
+			}
+			if full {
+				v.Str = string(body[off+4 : off+4+int(n)])
+			}
+		default:
+			return 0, 0, fmt.Errorf("%w: field %d code %d", ErrBadType, i, t)
 		}
-		t := Type(code)
-		if !t.Valid() {
-			return 0, fmt.Errorf("%w: field %d code %d", ErrBadType, i, code)
+		if full {
+			fields[i] = v
 		}
-		v, err := decodeFieldPayload(&d, t)
-		if err != nil {
-			return 0, fmt.Errorf("record: field %d (%v): %w", i, t, err)
-		}
-		r.Fields[i] = v
+		off += w
 	}
-	// Verify trailing nibbles are zero so the header is canonical.
-	for i := nf; i < MaxFields; i++ {
-		code := buf[4+i/2]
-		if i%2 == 0 {
-			code >>= 4
-		} else {
-			code &= 0x0F
-		}
-		if code != 0 {
-			return 0, fmt.Errorf("%w: nonzero nibble past field count", ErrBadHeader)
-		}
+	// Past the field count every nibble must be zero, and the fields must
+	// fill the declared size exactly, so the encoding is canonical.
+	if nibs != 0 {
+		return 0, 0, fmt.Errorf("%w: nonzero nibble past field count", ErrBadHeader)
 	}
-	if d.Remaining() != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes inside record", ErrBadHeader, d.Remaining())
+	if off != size {
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes inside record", ErrBadHeader, size-off)
 	}
-	r.reindex()
-	return size, nil
+	return size, tsOff, nil
 }
 
-func decodeFieldPayload(d *xdr.Decoder, t Type) (Value, error) {
-	switch t {
-	case Int8:
-		v, err := d.Int32()
-		if err == nil && v != int32(int8(v)) {
-			return Value{}, fmt.Errorf("%w: i8 payload %d out of range", ErrBadHeader, v)
-		}
-		return Value{Type: t, Bits: uint64(int64(int8(v)))}, err
-	case Int16:
-		v, err := d.Int32()
-		if err == nil && v != int32(int16(v)) {
-			return Value{}, fmt.Errorf("%w: i16 payload %d out of range", ErrBadHeader, v)
-		}
-		return Value{Type: t, Bits: uint64(int64(int16(v)))}, err
-	case Int32:
-		v, err := d.Int32()
-		return Value{Type: t, Bits: uint64(int64(v))}, err
-	case Uint8:
-		v, err := d.Uint32()
-		if err == nil && v > 0xFF {
-			return Value{}, fmt.Errorf("%w: u8 payload %d out of range", ErrBadHeader, v)
-		}
-		return Value{Type: t, Bits: uint64(uint8(v))}, err
-	case Uint16:
-		v, err := d.Uint32()
-		if err == nil && v > 0xFFFF {
-			return Value{}, fmt.Errorf("%w: u16 payload %d out of range", ErrBadHeader, v)
-		}
-		return Value{Type: t, Bits: uint64(uint16(v))}, err
-	case Uint32, Float32:
-		v, err := d.Uint32()
-		return Value{Type: t, Bits: uint64(v)}, err
-	case Bool:
-		v, err := d.Uint32()
-		if err == nil && v > 1 {
-			return Value{}, fmt.Errorf("%w: bool payload %d", ErrBadHeader, v)
-		}
-		return Value{Type: t, Bits: uint64(v)}, err
-	case Int64, Uint64, Float64, TS, Reason, Conseq:
-		v, err := d.Uint64()
-		return Value{Type: t, Bits: v}, err
-	case String:
-		s, err := d.String()
-		return Value{Type: t, Str: s}, err
-	default:
-		return Value{}, ErrBadType
-	}
+func fieldErr(i int, t Type, err error) error {
+	return fmt.Errorf("record: field %d (%v): %w", i, t, err)
 }
 
 // PeekSize returns the declared wire size of the record at the front of
@@ -553,13 +739,7 @@ func PeekTS(buf []byte) (ts int64, off int, hasTS bool) {
 	}
 	off = HeaderSize
 	for i := 0; i < nf; i++ {
-		code := buf[4+i/2]
-		if i%2 == 0 {
-			code >>= 4
-		} else {
-			code &= 0x0F
-		}
-		t := Type(code)
+		t := nibble(buf, i)
 		if t == TS {
 			if off+8 > size {
 				return 0, 0, false

@@ -338,10 +338,12 @@ func (r *Relay) forward(rec *record.Record) {
 	var err error
 	if corr != 0 && rec.HasTS {
 		// Shift into the parent frame for the encode only; the record is
-		// borrowed and feeds the local sinks after us.
-		rec.TS += corr
+		// borrowed and feeds the local sinks after us. SetTS reaches the
+		// timestamp in either representation: the header an encoded body
+		// is patched from, or the TS field of a synthesized marker.
+		rec.SetTS(rec.TS + corr)
 		buf, err = rec.Append(buf)
-		rec.TS -= corr
+		rec.SetTS(rec.TS - corr)
 	} else {
 		buf, err = rec.Append(buf)
 	}

@@ -616,3 +616,54 @@ func TestRelayCloseAbortsSilentRedial(t *testing.T) {
 	}
 	closeWithin(t, rl, 5*time.Second)
 }
+
+// TestForwardShiftsTimestampsIntoParentFrame: with a correction on the
+// relay's clock, every forwarded timestamp — of a data record, which
+// reaches the uplink as bytes, and of a loss marker the downstream
+// manager synthesized from values — arrives at the root shifted by it,
+// while the relay's own sinks keep the relay-frame time. (The shift used
+// to edit only the record's header, which the value encoder never read.)
+func TestForwardShiftsTimestampsIntoParentFrame(t *testing.T) {
+	root := newRoot(t, nil)
+	defer root.Close()
+	rl, err := New(Config{
+		Addr:          "127.0.0.1:0",
+		Parent:        root.Addr(),
+		ISM:           testISM(),
+		FlushInterval: time.Millisecond,
+		Logf:          quietLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rl.Close()
+	const corr = 250_000
+	rl.Clock().Adjust(corr)
+
+	ts := time.Now().UnixMicro()
+	data := record.New(3, record.I32Val(1), record.TSVal(ts))
+	marker := record.NewLossMarker(5, ts-10, ts+1)
+	marker.Node = 9
+	rl.forward(&marker) // what harvestLosses hands the Forward tap
+	if marker.TS != ts+1 || marker.Fields[0] != record.TSVal(ts+1) {
+		t.Fatalf("forward left the borrowed marker shifted: %+v", marker)
+	}
+	leaf := dialLeaf(t, rl.Addr(), 0xC0)
+	leaf.waitAck(leaf.send(data))
+	leaf.close()
+
+	local := drainRoot(t, rl.mgr, 1, 10*time.Second)
+	if got := local[0].rec.TS; got != ts {
+		t.Fatalf("relay's own sink saw ts %d, want the relay-frame %d", got, ts)
+	}
+	for _, d := range drainRoot(t, root, 2, 10*time.Second) {
+		want := ts + corr
+		if d.marker {
+			want = ts + 1 + corr
+		}
+		if d.rec.TS != want {
+			t.Fatalf("root saw ts %d (marker=%v), want %d: the hop correction of %d was not applied",
+				d.rec.TS, d.marker, want, corr)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -156,4 +157,83 @@ func ExampleBuffer() {
 		fmt.Println(string(rec))
 	}
 	// Output: evt
+}
+
+// entry builds the i-th test entry: 1 + 37·i mod 900 bytes (sizes that
+// straddle every ring boundary sooner or later), every byte i's low byte.
+func entry(i int) []byte {
+	return bytes.Repeat([]byte{byte(i)}, 1+(i*37)%900)
+}
+
+// TestBufferLappingWithMixedEntrySizes drives the flat ring through many
+// wraps and growths with entries of unequal sizes: a reader that keeps up
+// sees every entry intact, a lapped reader loses exactly the entries that
+// fell out of retention and resumes at the oldest retained one, and a
+// reader that recycles its buffer sees what a copying reader sees.
+func TestBufferLappingWithMixedEntrySizes(t *testing.T) {
+	const capacity, total = 16, 5000
+	b := NewBuffer(capacity)
+	live, lapped, recycling := b.NewCursor(), b.NewCursor(), b.NewCursor()
+	var scratch []byte
+	for i := 0; i < total; i++ {
+		if i%64 < 3 {
+			b.PublishBatch([][]byte{entry(i)})
+		} else {
+			b.Publish(entry(i))
+		}
+		got, lost, ok := live.TryNext()
+		if !ok || lost != 0 || !bytes.Equal(got, entry(i)) {
+			t.Fatalf("entry %d: live reader got %d bytes of %#x, lost %d, ok %v", i, len(got), got[:1], lost, ok)
+		}
+		into, lost, ok := recycling.TryNextInto(scratch)
+		if !ok || lost != 0 || !bytes.Equal(into, got) {
+			t.Fatalf("entry %d: recycling reader disagrees (lost %d, ok %v)", i, lost, ok)
+		}
+		scratch = into
+		// The lapped reader wakes up every 100 entries.
+		if i%100 != 99 {
+			continue
+		}
+		first := i + 1 - capacity
+		got, lost, ok = lapped.TryNext()
+		wantLost := uint64(100 - capacity)
+		if i == 99 {
+			wantLost = uint64(first) // never read before: everything before retention is lost
+		}
+		if !ok || lost != wantLost || !bytes.Equal(got, entry(first)) {
+			t.Fatalf("at %d: lapped reader got entry of %#x (%d bytes), lost %d; want entry %d, lost %d",
+				i, got[:1], len(got), lost, first, wantLost)
+		}
+		for j := first + 1; j <= i; j++ {
+			got, lost, ok = lapped.TryNext()
+			if !ok || lost != 0 || !bytes.Equal(got, entry(j)) {
+				t.Fatalf("at %d: lapped reader, retained entry %d: %d bytes, lost %d, ok %v", i, j, len(got), lost, ok)
+			}
+		}
+	}
+	if b.Written() != total {
+		t.Fatalf("Written = %d, want %d", b.Written(), total)
+	}
+	// The ring grew to what 16 entries of these sizes need, not to what
+	// 5000 of them would: retention is counted in records.
+	if len(b.data) > 32*1024 {
+		t.Fatalf("ring grew to %d bytes for %d retained entries of under 900 bytes", len(b.data), capacity)
+	}
+}
+
+// TestBufferEntryLargerThanRing: one entry bigger than the whole initial
+// ring, and an empty one, both survive.
+func TestBufferEntryLargerThanRing(t *testing.T) {
+	b := NewBuffer(2)
+	c := b.NewCursor()
+	big := bytes.Repeat([]byte{7}, 3*minRing+5)
+	b.Publish([]byte("small"))
+	b.Publish(big)
+	b.Publish(nil)
+	if got, lost, ok := c.Next(); !ok || lost != 1 || !bytes.Equal(got, big) {
+		t.Fatalf("big entry: %d bytes, lost %d, ok %v", len(got), lost, ok)
+	}
+	if got, _, ok := c.Next(); !ok || len(got) != 0 {
+		t.Fatalf("empty entry: %d bytes, ok %v", len(got), ok)
+	}
 }

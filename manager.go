@@ -406,8 +406,3 @@ func (m *Manager) Close() error {
 	}
 	return err
 }
-
-// decodeBuffered decodes a memory-buffer entry (node prefix + record).
-func decodeBuffered(p []byte) (Record, error) {
-	return ism.DecodeBuffered(p)
-}

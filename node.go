@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"brisk/internal/exs"
+	"brisk/internal/ism"
 	"brisk/internal/sensor"
 	"brisk/internal/shm"
 	"brisk/internal/vclock"
@@ -156,6 +157,7 @@ func (n *Node) Close() error { return n.ext.Close() }
 // Consumer iterates the manager's sorted output stream.
 type Consumer struct {
 	cur *shm.Cursor
+	raw []byte // the entry being decoded, recycled across reads
 	// Lost accumulates records skipped because this consumer fell behind
 	// the memory buffer (the manager's event dropping for slow readers).
 	Lost uint64
@@ -163,33 +165,25 @@ type Consumer struct {
 
 // Next blocks for the next record; ok is false once the manager has
 // closed and the stream is drained.
-func (c *Consumer) Next() (Record, bool) {
-	for {
-		raw, lost, ok := c.cur.Next()
-		c.Lost += lost
-		if !ok {
-			return Record{}, false
-		}
-		rec, err := decodeBuffered(raw)
-		if err != nil {
-			continue // skip corrupt entry rather than wedge the consumer
-		}
-		return rec, true
-	}
-}
+func (c *Consumer) Next() (Record, bool) { return c.next(c.cur.NextInto) }
 
 // TryNext is the non-blocking variant; ok is false when no record is
 // currently available.
-func (c *Consumer) TryNext() (Record, bool) {
+func (c *Consumer) TryNext() (Record, bool) { return c.next(c.cur.TryNextInto) }
+
+// next reads entries into the consumer's own buffer until one decodes
+// (the decoded record copies what it keeps, so the buffer is free again).
+func (c *Consumer) next(read func([]byte) ([]byte, uint64, bool)) (rec Record, ok bool) {
 	for {
-		raw, lost, ok := c.cur.TryNext()
+		raw, lost, ok := read(c.raw)
 		c.Lost += lost
 		if !ok {
 			return Record{}, false
 		}
-		rec, err := decodeBuffered(raw)
-		if err != nil {
-			continue
+		c.raw = raw
+		if ism.DecodeBufferedInto(&rec, raw) != nil {
+			rec = Record{}
+			continue // skip corrupt entry rather than wedge the consumer
 		}
 		return rec, true
 	}
