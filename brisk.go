@@ -38,7 +38,7 @@
 //
 // The package deliberately exposes the kernel's tuning knobs (batch sizes,
 // flush intervals, the sorter's time frame policy, the synchronization
-// damping) because BRISK's design goal is flexibility in the performance
+// period) because BRISK's design goal is flexibility in the performance
 // sense: users trade among intrusion, throughput, latency and ordering
 // for their environment.
 package brisk

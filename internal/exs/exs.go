@@ -73,13 +73,9 @@ type Config struct {
 	// Default 16384.
 	BatchBytes int
 	// FlushInterval bounds how long a non-empty partial batch waits.
-	// Default 5 ms.
+	// Default 5 ms. While the manager withholds credit each stalled flush
+	// doubles the effective interval, up to maxFlushWiden × FlushInterval.
 	FlushInterval time.Duration
-	// MaxFlushInterval bounds how far the sensor widens its effective
-	// flush interval while the manager withholds credit (each stalled
-	// flush doubles it). Larger batches shipped less often are exactly
-	// what an overloaded manager wants. Default 8 × FlushInterval.
-	MaxFlushInterval time.Duration
 	// PollInterval is the ring-scan period while idle. Default 500 µs.
 	PollInterval time.Duration
 	// ReconnectBase is the first backoff delay after a lost manager
@@ -119,6 +115,12 @@ type Config struct {
 // DefaultTraceSampleEvery is the pipeline-trace sampling period used when
 // Config.TraceSampleEvery is zero.
 const DefaultTraceSampleEvery = 64
+
+// maxFlushWiden bounds how far a credit-stalled sensor widens its
+// effective flush interval, as a multiple of FlushInterval. Larger
+// batches shipped less often are exactly what an overloaded manager
+// wants.
+const maxFlushWiden = 8
 
 // Stats is a snapshot of external-sensor counters.
 type Stats struct {
@@ -218,12 +220,6 @@ func DialContext(ctx context.Context, cfg Config) (*EXS, error) {
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 5 * time.Millisecond
-	}
-	if cfg.MaxFlushInterval <= 0 {
-		cfg.MaxFlushInterval = 8 * cfg.FlushInterval
-	}
-	if cfg.MaxFlushInterval < cfg.FlushInterval {
-		cfg.MaxFlushInterval = cfg.FlushInterval
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Microsecond
@@ -396,6 +392,7 @@ func (e *EXS) drainLoop() {
 	count := 0
 	var oldestAt time.Time // wall time the current partial batch started
 	effFlush := e.cfg.FlushInterval
+	maxFlush := maxFlushWiden * e.cfg.FlushInterval
 	var pauseStart time.Time // nonzero while ring collection is paused
 	_, lastRingDropped := e.cfg.Region.Stats()
 
@@ -497,11 +494,8 @@ func (e *EXS) drainLoop() {
 			if count > 0 && time.Since(oldestAt) >= effFlush {
 				ship()
 				oldestAt = time.Time{}
-				if stalled && effFlush < e.cfg.MaxFlushInterval {
-					effFlush *= 2
-					if effFlush > e.cfg.MaxFlushInterval {
-						effFlush = e.cfg.MaxFlushInterval
-					}
+				if stalled && effFlush < maxFlush {
+					effFlush = min(2*effFlush, maxFlush)
 				}
 			}
 			if count == 0 {

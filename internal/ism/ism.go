@@ -60,9 +60,6 @@ type Config struct {
 	// shard per CPU (GOMAXPROCS). Values above GOMAXPROCS are honoured
 	// but add no parallelism.
 	OLSShards int
-	// CRETimeout bounds retention of unmatched causal records (µs);
-	// 0 means cre.DefaultTimeout.
-	CRETimeout int64
 	// MergeInterval is how often the merger extracts aged records; it is
 	// the manager-side latency-control knob. Default 5 ms. (The paper's
 	// worst-case latency lower bound comes from exactly this kind of
@@ -83,28 +80,15 @@ type Config struct {
 	// ProbeTimeout bounds one probe exchange. Default 250 ms.
 	ProbeTimeout time.Duration
 	// HeartbeatInterval is the per-connection PING period. A sensor that
-	// sends nothing (not even a PONG) for HeartbeatMisses intervals is
+	// sends nothing (not even a PONG) for three intervals is
 	// declared dead and disconnected, so half-open links from crashed or
 	// partitioned nodes cannot pin queue state forever. Default 1 s;
 	// negative disables heartbeats.
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent intervals kill a peer. Default 3.
-	HeartbeatMisses int
 	// SessionRetention bounds how long a detached session (its node id
 	// and dedupe state) is kept for resumption after its connection
 	// drops. Default 2 min; negative drops sessions immediately.
 	SessionRetention time.Duration
-	// DecodeQueueDepth is the per-session decode-worker queue depth in
-	// batches: how many received-but-undecoded data batches may be
-	// buffered per session before its reader blocks, pushing backpressure
-	// into TCP. N sessions decode on N workers in parallel; the merger
-	// stays single-threaded. Default 4.
-	DecodeQueueDepth int
-	// SinkBatchRecords caps how many sorted records accumulate before an
-	// intra-merge sink flush. Larger batches amortize the per-flush costs
-	// (one clock read, one memory-buffer lock) over more records at the
-	// price of peak latency jitter. Default 512.
-	SinkBatchRecords int
 	// AckHighWater and AckLowWater are sorter-occupancy watermarks (in
 	// records) for the ack gate. When the sorter's buffered count rises to
 	// AckHighWater the manager stops acknowledging data batches (a
@@ -115,9 +99,6 @@ type Config struct {
 	// AckHighWater disables it explicitly even with MaxBuffered set.
 	AckHighWater int
 	AckLowWater  int
-	// MaxCreditWindow caps any single credit grant (records in flight per
-	// sensor). Default 4096.
-	MaxCreditWindow int
 	// Filter, when non-nil, selects which sorted records reach the
 	// sinks; records it rejects are counted but not delivered. It runs
 	// downstream of the causal matcher so causal bookkeeping stays
@@ -163,6 +144,25 @@ type Config struct {
 
 // DefaultTraceSampleEvery is the default pipeline-trace sampling period.
 const DefaultTraceSampleEvery = 64
+
+const (
+	// heartbeatMisses is how many silent heartbeat intervals kill a peer.
+	heartbeatMisses = 3
+	// decodeQueueDepth is the per-session decode-worker queue depth in
+	// batches: how many received-but-undecoded data batches may be
+	// buffered per session before its reader blocks, pushing backpressure
+	// into TCP. N sessions decode on N workers in parallel; the merger
+	// stays single-threaded.
+	decodeQueueDepth = 4
+	// sinkBatchRecords caps how many sorted records accumulate before an
+	// intra-merge sink flush. Larger batches amortize the per-flush costs
+	// (one clock read, one memory-buffer lock) over more records at the
+	// price of peak latency jitter.
+	sinkBatchRecords = 512
+	// maxCreditWindow caps any single credit grant (records in flight per
+	// sensor).
+	maxCreditWindow = 4096
+)
 
 // SinkTap consumes the sorted stream at the sink stage — the
 // subscription engine's attachment point (see Config.Tap).
@@ -365,10 +365,9 @@ type Manager struct {
 	// Batched sink delivery, owned by the merge goroutine (sorterMu).
 	// out collects fully-processed records between flushes; sinkBufs holds
 	// one recycled encode buffer per record of the largest flush so far.
-	out       []record.Record
-	sinkBufs  [][]byte
-	emitNow   int64 // manager clock for the current merge event
-	sinkBatch int
+	out      []record.Record
+	sinkBufs [][]byte
+	emitNow  int64 // manager clock for the current merge event
 	// fieldBuf takes the one decode a sink-bound record gets when a
 	// filter, the PICL log or a visual object reads its field values.
 	fieldBuf [record.MaxFields]record.Value
@@ -385,7 +384,6 @@ type Manager struct {
 	flowEnabled bool
 	ackHigh     int
 	ackLow      int
-	maxWindow   int
 
 	gateMu          sync.Mutex
 	headroom        atomic.Int64 // ackHigh − sorter.Buffered(), gate-updated
@@ -476,17 +474,8 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = time.Second
 	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
 	if cfg.SessionRetention == 0 {
 		cfg.SessionRetention = 2 * time.Minute
-	}
-	if cfg.DecodeQueueDepth <= 0 {
-		cfg.DecodeQueueDepth = 4
-	}
-	if cfg.SinkBatchRecords <= 0 {
-		cfg.SinkBatchRecords = 512
 	}
 	if cfg.AckHighWater < 0 {
 		cfg.AckHighWater = 0 // explicit disable
@@ -498,9 +487,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.AckLowWater >= cfg.AckHighWater {
 		cfg.AckLowWater = cfg.AckHighWater - 1
-	}
-	if cfg.MaxCreditWindow <= 0 {
-		cfg.MaxCreditWindow = 4096
 	}
 	if cfg.OLSShards < 0 {
 		cfg.OLSShards = runtime.GOMAXPROCS(0)
@@ -531,17 +517,14 @@ func New(cfg Config) (*Manager, error) {
 		stopWorkers: make(chan struct{}),
 		sorter:      ols.NewSharded(cfg.Sorter, cfg.OLSShards),
 		shardN:      cfg.OLSShards,
-		sinkBatch:   cfg.SinkBatchRecords,
 		flowEnabled: cfg.AckHighWater > 0,
 		ackHigh:     cfg.AckHighWater,
 		ackLow:      cfg.AckLowWater,
-		maxWindow:   cfg.MaxCreditWindow,
 		srcDropC:    make(map[int32]*metrics.Counter),
 	}
 	m.headroom.Store(int64(m.ackHigh))
 	m.registerMetrics(cfg.Metrics)
 	m.matcher = cre.New(cre.Config{
-		Timeout: cfg.CRETimeout,
 		OnTachyon: func(int64, *record.Record) {
 			m.tachyonSyncs.Inc()
 			select {
@@ -844,14 +827,10 @@ func (m *Manager) handleConn(raw net.Conn) {
 		return
 	}
 	hello, ok := msg.(*wire.Hello)
-	if !ok || hello.Version < wire.MinProtocolVersion || hello.Version > wire.ProtocolVersion {
+	if !ok || hello.Version != wire.ProtocolVersion {
 		m.logf("ism: bad hello from %v", raw.RemoteAddr())
 		return
 	}
-	// Pin the connection to the peer's version: a v3 sensor or relay gets
-	// v3-shaped frames (no ADJUST rate field, no ack version echo) in both
-	// directions for the life of the connection.
-	wc.SetVersion(hello.Version)
 	c := &conn{
 		name:    hello.Name,
 		wc:      wc,
@@ -877,8 +856,8 @@ func (m *Manager) handleConn(raw net.Conn) {
 		m.nextNode++
 		sess = &session{
 			node: m.nextNode,
-			work: make(chan pending, m.cfg.DecodeQueueDepth),
-			free: make(chan []byte, m.cfg.DecodeQueueDepth+2),
+			work: make(chan pending, decodeQueueDepth),
+			free: make(chan []byte, decodeQueueDepth+2),
 			quit: make(chan struct{}),
 		}
 		if hello.Session != 0 {
@@ -1109,8 +1088,8 @@ func (m *Manager) grantWindow(s *session) (uint32, bool) {
 	if w <= 0 {
 		return 0, false
 	}
-	if w > int64(m.maxWindow) {
-		w = int64(m.maxWindow)
+	if w > maxCreditWindow {
+		w = maxCreditWindow
 	}
 	return uint32(w), true
 }
@@ -1321,7 +1300,7 @@ func (m *Manager) decodeOne(s *session, pb pending) {
 		now := m.clock.NowMicros()
 		m.pushBatch(b, now)
 		m.updateGate(m.sorter.Buffered(), now)
-		if m.sorter.Buffered() >= m.sinkBatch {
+		if m.sorter.Buffered() >= sinkBatchRecords {
 			select {
 			case m.extractNow <- struct{}{}:
 				// Hand this processor to the merger just woken. On a
@@ -1469,7 +1448,7 @@ func (m *Manager) sinkRecord(rec record.Record) {
 // merge pass staged, before flushSinks runs.
 func (m *Manager) collect(rec record.Record) {
 	m.out = append(m.out, rec)
-	if len(m.out) >= m.sinkBatch {
+	if len(m.out) >= sinkBatchRecords {
 		m.flushSinks(m.emitNow)
 	}
 }
@@ -1561,7 +1540,7 @@ func (m *Manager) flushSinks(now int64) {
 }
 
 // heartbeatLoop pings every attached sensor each interval and severs
-// peers that have been silent for HeartbeatMisses intervals — the
+// peers that have been silent for heartbeatMisses intervals — the
 // half-open links a stalled network leaves behind. It also expires
 // detached sessions past the retention window.
 func (m *Manager) heartbeatLoop() {
@@ -1574,7 +1553,7 @@ func (m *Manager) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		deadline := time.Now().Add(-time.Duration(m.cfg.HeartbeatMisses) * m.cfg.HeartbeatInterval).UnixNano()
+		deadline := time.Now().Add(-heartbeatMisses * m.cfg.HeartbeatInterval).UnixNano()
 		m.mu.Lock()
 		conns := make([]*conn, 0, len(m.conns))
 		for _, c := range m.conns {
@@ -1602,7 +1581,7 @@ func (m *Manager) heartbeatLoop() {
 			if c.lastRecv.Load() < deadline {
 				m.deadPeers.Inc()
 				m.logf("ism: node %d (%s) missed %d heartbeats, disconnecting",
-					c.node, c.name, m.cfg.HeartbeatMisses)
+					c.node, c.name, heartbeatMisses)
 				c.raw.Close() // handleConn's Recv fails and cleans up
 				continue
 			}
@@ -1653,13 +1632,8 @@ func (s *connSlave) Adjust(delta int64) error {
 }
 
 // AdjustRate implements clocksync.RateConn: a zero-step adjustment whose
-// rate field steers the slave's correction growth between probes. A v3
-// peer has no rate field to steer, so the command is refused and the
-// master leaves the slave on step corrections only.
+// rate field steers the slave's correction growth between probes.
 func (s *connSlave) AdjustRate(ppm float64) error {
-	if s.c.wc.Version() < wire.VersionRates {
-		return errors.New("ism: peer protocol version predates rate steering")
-	}
 	return s.c.wc.Send(&wire.Adjust{RatePPB: int64(ppm * 1000)})
 }
 

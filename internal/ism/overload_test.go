@@ -13,6 +13,7 @@ import (
 	"brisk/internal/record"
 	"brisk/internal/sensor"
 	"brisk/internal/shm"
+	"brisk/internal/wire"
 )
 
 // TestCreditDisabledByDefault pins backward compatibility: without a
@@ -53,6 +54,32 @@ func TestCreditWindowGranted(t *testing.T) {
 	waitUntil(t, 5*time.Second, "credit grant arrived", func() bool {
 		return e.Stats().CreditWindow > 0
 	})
+}
+
+// TestCreditWindowCapped pins the per-grant cap: with a sorter bound whose
+// headroom (75 000 records below the high watermark) dwarfs the cap, every
+// HELLO_ACK and DATA_ACK a lone raw-wire sensor receives grants exactly
+// 4096 records — never the whole headroom.
+func TestCreditWindowCapped(t *testing.T) {
+	const wantCap = 4096
+	m := newManager(t, Config{
+		Sorter:            ols.Config{InitialT: 1000, MaxBuffered: 100_000},
+		HeartbeatInterval: -1,
+	})
+	wc, ack, closeFn := dialRaw(t, m, 0xCAFE, false)
+	defer closeFn()
+	if ack.Window != wantCap {
+		t.Fatalf("HELLO_ACK window = %d, want %d", ack.Window, wantCap)
+	}
+	payload := newRecordBytes(t)
+	for seq := uint64(1); seq <= 20; seq++ {
+		if err := wc.Send(&wire.DataBatch{Seq: seq, Count: 1, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		if a := recvAck(t, wc); a.Seq != seq || a.Window != wantCap {
+			t.Fatalf("DATA_ACK = %+v, want seq %d window %d", a, seq, wantCap)
+		}
+	}
 }
 
 // TestAckGateClosesUnderBacklog is the deterministic gate test: with a

@@ -8,11 +8,10 @@ import (
 	"brisk/internal/wire"
 )
 
-// TestHelloVersionNegotiation covers the manager's side of the v3/v4
-// protocol negotiation: a v3 peer is accepted and spoken to in v3 frames
-// (no version echo in the ack), a current peer gets the negotiated
-// version echoed, and out-of-range versions are refused at the handshake
-// instead of aborting later mid-stream.
+// TestHelloVersionNegotiation covers the manager's side of the HELLO
+// version check: a current peer gets its version echoed, and any other
+// version is refused at the handshake instead of aborting later
+// mid-stream.
 func TestHelloVersionNegotiation(t *testing.T) {
 	m := newManager(t, Config{})
 
@@ -23,44 +22,30 @@ func TestHelloVersionNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		wc := wire.NewConn(raw)
-		// A real old binary's codec has no v4 fields at all; pinning the
-		// test conn to the claimed version models that.
-		wc.SetVersion(version)
 		if err := wc.Send(&wire.Hello{Version: version, Name: name}); err != nil {
 			t.Fatal(err)
 		}
 		return wc, func() { raw.Close() }
 	}
 
-	// A v3 peer attaches, and its ack is v3-shaped (Version echo absent).
-	wc, closeFn := dial(3, "legacy")
+	// A current peer gets its version echoed.
+	wc, closeFn := dial(wire.ProtocolVersion, "current")
 	msg, err := wc.Recv()
 	if err != nil {
-		t.Fatalf("v3 hello refused: %v", err)
+		t.Fatalf("v%d hello refused: %v", wire.ProtocolVersion, err)
 	}
 	ack, ok := msg.(*wire.HelloAck)
 	if !ok {
 		t.Fatalf("got %v, want HELLO_ACK", msg.Type())
 	}
-	if ack.Version != 0 {
-		t.Fatalf("v3 ack decoded Version = %d, want 0", ack.Version)
-	}
-	closeFn()
-
-	// A current peer gets the negotiated version echoed.
-	wc, closeFn = dial(wire.ProtocolVersion, "current")
-	msg, err = wc.Recv()
-	if err != nil {
-		t.Fatalf("v%d hello refused: %v", wire.ProtocolVersion, err)
-	}
-	if ack := msg.(*wire.HelloAck); ack.Version != wire.ProtocolVersion {
+	if ack.Version != wire.ProtocolVersion {
 		t.Fatalf("ack Version = %d, want %d", ack.Version, wire.ProtocolVersion)
 	}
 	closeFn()
 
-	// Versions outside [MinProtocolVersion, ProtocolVersion] are refused:
-	// the manager closes the connection without an ack.
-	for _, v := range []uint32{wire.MinProtocolVersion - 1, wire.ProtocolVersion + 1} {
+	// An older or newer peer is refused: the manager closes the
+	// connection without an ack.
+	for _, v := range []uint32{wire.ProtocolVersion - 1, wire.ProtocolVersion + 1} {
 		wc, closeFn = dial(v, "timetraveler")
 		if msg, err := wc.Recv(); err == nil {
 			t.Fatalf("version %d accepted with %v", v, msg.Type())

@@ -29,12 +29,6 @@ type Config struct {
 	// shard per lock hold — the batch loader's unit for catch-up reads
 	// and live tailing (default 256).
 	BatchRecords int
-	// SketchWidth and SketchDepth size the count-min sketch behind
-	// /topk (defaults 1024 and 4 — ~32 KiB of counters).
-	SketchWidth, SketchDepth int
-	// TopK is how many heavy-hitter candidates are tracked per
-	// dimension (default 16).
-	TopK int
 	// Metrics, when non-nil, receives the brisk_sub_* series.
 	Metrics *metrics.Registry
 }
@@ -59,15 +53,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.BatchRecords <= 0 {
 		cfg.BatchRecords = 256
-	}
-	if cfg.SketchWidth <= 0 {
-		cfg.SketchWidth = 1024
-	}
-	if cfg.SketchDepth <= 0 {
-		cfg.SketchDepth = 4
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 16
 	}
 	return cfg
 }
@@ -132,7 +117,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		cache: newCache(cfg.Shards, cfg.WindowBytes, ttl),
-		fr:    newFreq(cfg.SketchWidth, cfg.SketchDepth, cfg.TopK),
+		fr:    newFreq(),
 	}
 	e.registerMetrics(cfg.Metrics)
 	return e
@@ -182,10 +167,10 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		})
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_sub_sketch_width",
 		Help: "count-min sketch width (counters per row)"},
-		func() float64 { return float64(e.cfg.SketchWidth) })
+		func() float64 { return sketchWidth })
 	reg.GaugeFunc(metrics.Desc{Name: "brisk_sub_sketch_depth",
 		Help: "count-min sketch depth (hash rows)"},
-		func() float64 { return float64(e.cfg.SketchDepth) })
+		func() float64 { return sketchDepth })
 }
 
 // Publish appends one sink-accepted record to the hot window and the

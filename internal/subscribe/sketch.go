@@ -143,8 +143,16 @@ const (
 	keyEvent  = uint64(2) << 40 // namespace tag for event-class keys
 )
 
-func newFreq(width, depth, k int) *freq {
-	return &freq{sk: newSketch(width, depth), bySrc: newTopK(k), byType: newTopK(k)}
+// The engine's sketch geometry (~32 KiB of counters) and how many
+// heavy-hitter candidates it tracks per dimension.
+const (
+	sketchWidth = 1024
+	sketchDepth = 4
+	topKTracked = 16
+)
+
+func newFreq() *freq {
+	return &freq{sk: newSketch(sketchWidth, sketchDepth), bySrc: newTopK(topKTracked), byType: newTopK(topKTracked)}
 }
 
 // observe records one published record. Allocation-free.

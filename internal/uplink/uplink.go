@@ -7,7 +7,7 @@
 //
 // A Sender owns
 //
-//   - the HELLO exchange, session resume and protocol-version pin;
+//   - the HELLO exchange and session resume;
 //   - a sequence-numbered, byte-bounded replay queue: every enqueued batch
 //     is retained until the manager's cumulative ack releases it, the
 //     oldest batch is evicted past the bound, and released payload storage
@@ -281,8 +281,7 @@ func (s *Sender) connect(resume bool) (*link, error) {
 	return l, nil
 }
 
-// handshake runs the HELLO exchange on a fresh link and pins the
-// connection to the version the manager negotiated.
+// handshake runs the HELLO exchange on a fresh link.
 func (s *Sender) handshake(l *link, resume bool) error {
 	l.raw.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
 	hello := &wire.Hello{
@@ -301,9 +300,6 @@ func (s *Sender) handshake(l *link, resume bool) error {
 	ack, ok := msg.(*wire.HelloAck)
 	if !ok {
 		return fmt.Errorf("%s: expected HELLO_ACK, got %v", s.cfg.Tag, msg.Type())
-	}
-	if ack.Version >= wire.MinProtocolVersion && ack.Version <= wire.ProtocolVersion {
-		l.conn.SetVersion(ack.Version)
 	}
 	l.ack = ack
 	l.raw.SetDeadline(time.Time{})

@@ -107,7 +107,6 @@ type gotBatch struct {
 type fakeMgr struct {
 	ln      net.Listener
 	window  uint32
-	version uint32 // echoed in HELLO_ACK; 0 means ProtocolVersion
 	lastSeq uint64 // reported on resumes
 	acking  atomic.Bool
 	// mute makes connections from this ordinal on accept and then say
@@ -177,18 +176,13 @@ func (f *fakeMgr) serve(n int, raw net.Conn) {
 		wc.Recv() // hold the link open until the client gives up
 		return
 	}
-	version := f.version
-	if version == 0 {
-		version = wire.ProtocolVersion
-	}
-	ack := &wire.HelloAck{Node: int32(n), Window: f.window, Version: version}
+	ack := &wire.HelloAck{Node: int32(n), Window: f.window, Version: wire.ProtocolVersion}
 	if hello.Resume {
 		ack.Resumed, ack.LastSeq = true, f.lastSeq
 	}
 	if wc.Send(ack) != nil {
 		return
 	}
-	wc.SetVersion(version)
 	if d := f.deaf.Load(); d > 0 && int32(n) >= d {
 		<-f.hold
 		return
@@ -493,17 +487,6 @@ func TestSendAckClose(t *testing.T) {
 			t.Fatal("BytesOut lost the closed connection's bytes")
 		}
 	})
-}
-
-// TestVersionPin verifies the connection is pinned to the version the
-// manager's HELLO_ACK negotiated.
-func TestVersionPin(t *testing.T) {
-	f := newFakeMgr(t, 0, true)
-	f.version = wire.MinProtocolVersion
-	s := dialFake(t, f.addr(), modes[0], nil)
-	if v := s.liveConn().Version(); v != wire.MinProtocolVersion {
-		t.Fatalf("connection speaks v%d, want the negotiated v%d", v, wire.MinProtocolVersion)
-	}
 }
 
 // TestControlLoopServesSync verifies probes are answered from the

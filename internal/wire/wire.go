@@ -26,31 +26,17 @@ import (
 	"brisk/internal/xdr"
 )
 
-// ProtocolVersion is negotiated in the HELLO exchange. Version 2 added
+// ProtocolVersion is checked in the HELLO exchange. Version 2 added
 // session resume (session ids in HELLO, per-batch sequence numbers,
 // cumulative DATA_ACKs) and the PING/PONG heartbeat. Version 3 added
 // credit-based flow control: HELLO_ACK and DATA_ACK carry a window grant
 // (Window field) sized from the manager's sorter headroom. Version 4 adds
 // model-based clock sync: ADJUST carries a rate field (RatePPB) and
-// HELLO_ACK echoes the negotiated version.
+// HELLO_ACK echoes the version.
 //
-// Negotiation: the client's HELLO carries its version; a server accepts
-// any version in [MinProtocolVersion, ProtocolVersion], pins the
-// connection to it (Conn.SetVersion), and echoes it in the HELLO_ACK's
-// Version field (v4+ acks only — a v3 ack is byte-identical to before).
-// Version-gated fields are then encoded and decoded only on connections
-// pinned at or above the version that introduced them, so a v3 peer's
-// frames stay byte-identical in both directions.
+// The client's HELLO carries its version; a server refuses any other
+// version than its own and echoes it in the HELLO_ACK's Version field.
 const ProtocolVersion = 4
-
-// MinProtocolVersion is the oldest peer version the codec still
-// interoperates with. Versions 1 and 2 predate flow control and are no
-// longer spoken.
-const MinProtocolVersion = 3
-
-// VersionRates is the protocol version that introduced clock-rate
-// steering (ADJUST.RatePPB) and the HELLO_ACK Version echo.
-const VersionRates = 4
 
 // MaxFrameBytes bounds one frame; larger declared frames abort the
 // connection rather than allocate unboundedly.
@@ -109,14 +95,12 @@ var (
 	ErrBadMessage    = errors.New("wire: malformed message body")
 )
 
-// Message is one protocol message. The codec passes the connection's
-// negotiated protocol version so bodies that grew fields across versions
-// stay byte-compatible with older peers.
+// Message is one protocol message.
 type Message interface {
 	// Type returns the frame type code.
 	Type() MsgType
-	encode(e *xdr.Encoder, v uint32)
-	decode(d *xdr.Decoder, v uint32) error
+	encode(e *xdr.Encoder)
+	decode(d *xdr.Decoder) error
 }
 
 // Hello opens a connection. The external sensor identifies its node by
@@ -140,14 +124,14 @@ type Hello struct {
 // Type implements Message.
 func (*Hello) Type() MsgType { return MsgHello }
 
-func (m *Hello) encode(e *xdr.Encoder, _ uint32) {
+func (m *Hello) encode(e *xdr.Encoder) {
 	e.Uint32(m.Version)
 	e.String(m.Name)
 	e.Uint64(m.Session)
 	e.Bool(m.Resume)
 }
 
-func (m *Hello) decode(d *xdr.Decoder, _ uint32) error {
+func (m *Hello) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Version, err = d.Uint32(); err != nil {
 		return err
@@ -179,25 +163,22 @@ type HelloAck struct {
 	// have in flight (sent but unacknowledged) before it must pause.
 	// 0 disables flow control (unlimited credit).
 	Window uint32
-	// Version echoes the negotiated protocol version (v4+ connections
-	// only; a v3 ack omits the field and the decoder leaves it 0).
+	// Version echoes the protocol version.
 	Version uint32
 }
 
 // Type implements Message.
 func (*HelloAck) Type() MsgType { return MsgHelloAck }
 
-func (m *HelloAck) encode(e *xdr.Encoder, v uint32) {
+func (m *HelloAck) encode(e *xdr.Encoder) {
 	e.Int32(m.Node)
 	e.Bool(m.Resumed)
 	e.Uint64(m.LastSeq)
 	e.Uint32(m.Window)
-	if v >= VersionRates {
-		e.Uint32(m.Version)
-	}
+	e.Uint32(m.Version)
 }
 
-func (m *HelloAck) decode(d *xdr.Decoder, v uint32) error {
+func (m *HelloAck) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Node, err = d.Int32(); err != nil {
 		return err
@@ -211,10 +192,7 @@ func (m *HelloAck) decode(d *xdr.Decoder, v uint32) error {
 	if m.Window, err = d.Uint32(); err != nil {
 		return err
 	}
-	m.Version = 0
-	if v >= VersionRates {
-		m.Version, err = d.Uint32()
-	}
+	m.Version, err = d.Uint32()
 	return err
 }
 
@@ -250,13 +228,13 @@ type DataBatch struct {
 // Type implements Message.
 func (*DataBatch) Type() MsgType { return MsgData }
 
-func (m *DataBatch) encode(e *xdr.Encoder, _ uint32) {
+func (m *DataBatch) encode(e *xdr.Encoder) {
 	e.Uint64(m.Seq)
 	e.Uint32(m.Count)
 	e.Opaque(m.Payload)
 }
 
-func (m *DataBatch) decode(d *xdr.Decoder, _ uint32) error {
+func (m *DataBatch) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Seq, err = d.Uint64(); err != nil {
 		return err
@@ -290,12 +268,12 @@ type DataAck struct {
 // Type implements Message.
 func (*DataAck) Type() MsgType { return MsgDataAck }
 
-func (m *DataAck) encode(e *xdr.Encoder, _ uint32) {
+func (m *DataAck) encode(e *xdr.Encoder) {
 	e.Uint64(m.Seq)
 	e.Uint32(m.Window)
 }
 
-func (m *DataAck) decode(d *xdr.Decoder, _ uint32) error {
+func (m *DataAck) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Seq, err = d.Uint64(); err != nil {
 		return err
@@ -311,7 +289,7 @@ func (m *DataAck) decode(d *xdr.Decoder, _ uint32) error {
 // origin node id (the same entry framing the shm memory buffer uses).
 // Seq shares the session's data-batch sequence space: the manager
 // dedupes, acks and credits relay batches exactly like data batches, so
-// the v3 resume and flow-control machinery applies unchanged.
+// the resume and flow-control machinery applies unchanged.
 type RelayBatch struct {
 	// Seq numbers the batch within its session (1-based); 0 marks a
 	// sessionless batch.
@@ -325,13 +303,13 @@ type RelayBatch struct {
 // Type implements Message.
 func (*RelayBatch) Type() MsgType { return MsgRelayData }
 
-func (m *RelayBatch) encode(e *xdr.Encoder, _ uint32) {
+func (m *RelayBatch) encode(e *xdr.Encoder) {
 	e.Uint64(m.Seq)
 	e.Uint32(m.Count)
 	e.Opaque(m.Payload)
 }
 
-func (m *RelayBatch) decode(d *xdr.Decoder, _ uint32) error {
+func (m *RelayBatch) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Seq, err = d.Uint64(); err != nil {
 		return err
@@ -355,9 +333,9 @@ type Ping struct {
 // Type implements Message.
 func (*Ping) Type() MsgType { return MsgPing }
 
-func (m *Ping) encode(e *xdr.Encoder, _ uint32) { e.Uint32(m.Seq) }
+func (m *Ping) encode(e *xdr.Encoder) { e.Uint32(m.Seq) }
 
-func (m *Ping) decode(d *xdr.Decoder, _ uint32) error {
+func (m *Ping) decode(d *xdr.Decoder) error {
 	var err error
 	m.Seq, err = d.Uint32()
 	return err
@@ -372,9 +350,9 @@ type Pong struct {
 // Type implements Message.
 func (*Pong) Type() MsgType { return MsgPong }
 
-func (m *Pong) encode(e *xdr.Encoder, _ uint32) { e.Uint32(m.Seq) }
+func (m *Pong) encode(e *xdr.Encoder) { e.Uint32(m.Seq) }
 
-func (m *Pong) decode(d *xdr.Decoder, _ uint32) error {
+func (m *Pong) decode(d *xdr.Decoder) error {
 	var err error
 	m.Seq, err = d.Uint32()
 	return err
@@ -393,12 +371,12 @@ type Probe struct {
 // Type implements Message.
 func (*Probe) Type() MsgType { return MsgProbe }
 
-func (m *Probe) encode(e *xdr.Encoder, _ uint32) {
+func (m *Probe) encode(e *xdr.Encoder) {
 	e.Uint32(m.Seq)
 	e.Int64(m.MasterSend)
 }
 
-func (m *Probe) decode(d *xdr.Decoder, _ uint32) error {
+func (m *Probe) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Seq, err = d.Uint32(); err != nil {
 		return err
@@ -422,13 +400,13 @@ type ProbeReply struct {
 // Type implements Message.
 func (*ProbeReply) Type() MsgType { return MsgProbeReply }
 
-func (m *ProbeReply) encode(e *xdr.Encoder, _ uint32) {
+func (m *ProbeReply) encode(e *xdr.Encoder) {
 	e.Uint32(m.Seq)
 	e.Int64(m.MasterSend)
 	e.Int64(m.SlaveTime)
 }
 
-func (m *ProbeReply) decode(d *xdr.Decoder, _ uint32) error {
+func (m *ProbeReply) decode(d *xdr.Decoder) error {
 	var err error
 	if m.Seq, err = d.Uint32(); err != nil {
 		return err
@@ -453,32 +431,23 @@ type Adjust struct {
 	// the frame XDR-plain while carrying sub-ppm precision). Negative
 	// means "leave the current rate untouched" — the fixed-cadence
 	// master always sends -1, so its slaves never extrapolate.
-	//
-	// The field exists since protocol version 4 (VersionRates): on a v3
-	// connection it is neither encoded nor decoded, and the decoder
-	// reports -1 so a v3 master's adjustments never touch the rate.
 	RatePPB int64
 }
 
 // Type implements Message.
 func (*Adjust) Type() MsgType { return MsgAdjust }
 
-func (m *Adjust) encode(e *xdr.Encoder, v uint32) {
+func (m *Adjust) encode(e *xdr.Encoder) {
 	e.Int64(m.DeltaMicros)
-	if v >= VersionRates {
-		e.Int64(m.RatePPB)
-	}
+	e.Int64(m.RatePPB)
 }
 
-func (m *Adjust) decode(d *xdr.Decoder, v uint32) error {
+func (m *Adjust) decode(d *xdr.Decoder) error {
 	var err error
 	if m.DeltaMicros, err = d.Int64(); err != nil {
 		return err
 	}
-	m.RatePPB = -1
-	if v >= VersionRates {
-		m.RatePPB, err = d.Int64()
-	}
+	m.RatePPB, err = d.Int64()
 	return err
 }
 
@@ -488,8 +457,8 @@ type Bye struct{}
 // Type implements Message.
 func (*Bye) Type() MsgType { return MsgBye }
 
-func (*Bye) encode(*xdr.Encoder, uint32)       {}
-func (*Bye) decode(*xdr.Decoder, uint32) error { return nil }
+func (*Bye) encode(*xdr.Encoder)       {}
+func (*Bye) decode(*xdr.Decoder) error { return nil }
 
 // newMessage allocates an empty body for a frame type.
 func newMessage(t MsgType) (Message, error) {
@@ -539,25 +508,6 @@ type Conn struct {
 
 	bytesOut atomic.Uint64
 	bytesIn  atomic.Uint64
-
-	// version is the negotiated protocol version gating version-dependent
-	// message fields. Atomic: the handshake pins it from the receive
-	// goroutine while senders on other goroutines read it.
-	version atomic.Uint32
-}
-
-// SetVersion pins the connection to a negotiated protocol version. The
-// server side calls it after validating the HELLO (before sending the
-// ack); the client side after decoding the HELLO_ACK. Before the
-// handshake a Conn speaks ProtocolVersion.
-func (c *Conn) SetVersion(v uint32) { c.version.Store(v) }
-
-// Version returns the negotiated protocol version.
-func (c *Conn) Version() uint32 {
-	if v := c.version.Load(); v != 0 {
-		return v
-	}
-	return ProtocolVersion
 }
 
 // BytesOut returns the total frame bytes written, for throughput
@@ -580,7 +530,7 @@ func (c *Conn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.enc.Reset()
-	m.encode(&c.enc, c.Version())
+	m.encode(&c.enc)
 	body := c.enc.Bytes()
 	n := len(body) + 1
 	if n > MaxFrameBytes {
@@ -650,7 +600,7 @@ func (c *Conn) recv(reuse bool) (Message, error) {
 	}
 	c.dec.Reset(buf)
 	c.dec.MaxOpaque = MaxFrameBytes
-	if err := m.decode(&c.dec, c.Version()); err != nil {
+	if err := m.decode(&c.dec); err != nil {
 		return nil, fmt.Errorf("%w: %v body: %v", ErrBadMessage, t, err)
 	}
 	if c.dec.Remaining() != 0 {

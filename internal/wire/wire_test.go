@@ -223,77 +223,39 @@ func TestByteCounters(t *testing.T) {
 	}
 }
 
-// TestVersionGatedFields pins both ends of a connection to protocol
-// version 3 and verifies the v4 additions vanish from the wire: ADJUST
-// frames carry only the 8-byte delta (RatePPB decodes as -1, "leave the
-// rate untouched") and HELLO_ACK omits the version echo — so a rolling
-// upgrade mixing v3 and v4 binaries never aborts mid-stream on a
-// length-mismatched body.
+// TestVersionGatedFields pins the v4 frame shapes: ADJUST carries the
+// 8-byte delta plus the 8-byte rate, HELLO_ACK ends with the version
+// echo, and both fields round-trip.
 func TestVersionGatedFields(t *testing.T) {
 	ca, cb, closeFn := pipeConns(t)
 	defer closeFn()
-	if ca.Version() != ProtocolVersion {
-		t.Fatalf("default version = %d, want %d", ca.Version(), ProtocolVersion)
-	}
-	ca.SetVersion(3)
-	cb.SetVersion(3)
 
-	go ca.Send(&Adjust{DeltaMicros: 250, RatePPB: 12_500})
+	go ca.Send(&Adjust{DeltaMicros: 7, RatePPB: 2_500})
 	m, err := cb.Recv()
 	if err != nil {
-		t.Fatalf("v3 adjust: %v", err)
+		t.Fatalf("adjust: %v", err)
 	}
-	adj, ok := m.(*Adjust)
-	if !ok {
-		t.Fatalf("got %v, want ADJUST", m.Type())
+	if adj := m.(*Adjust); adj.DeltaMicros != 7 || adj.RatePPB != 2_500 {
+		t.Fatalf("ADJUST = %+v, want delta 7 rate 2500", adj)
 	}
-	if adj.DeltaMicros != 250 {
-		t.Fatalf("DeltaMicros = %d, want 250", adj.DeltaMicros)
-	}
-	if adj.RatePPB != -1 {
-		t.Fatalf("v3 ADJUST decoded RatePPB = %d, want -1 (no rate on the wire)", adj.RatePPB)
-	}
-	// Frame = 4 length + 1 type + 8 delta: byte-identical to version 3.
-	if got := ca.BytesOut(); got != 13 {
-		t.Fatalf("v3 ADJUST frame = %d bytes, want 13", got)
+	// Frame = 4 length + 1 type + 8 delta + 8 rate.
+	if got := ca.BytesOut(); got != 21 {
+		t.Fatalf("ADJUST frame = %d bytes, want 21", got)
 	}
 
 	prev := ca.BytesOut()
-	go ca.Send(&HelloAck{Node: 3, LastSeq: 42, Window: 9, Version: 3})
+	go ca.Send(&HelloAck{Node: 3, LastSeq: 42, Window: 9, Version: ProtocolVersion})
 	m, err = cb.Recv()
 	if err != nil {
-		t.Fatalf("v3 hello ack: %v", err)
+		t.Fatalf("hello ack: %v", err)
 	}
 	ack := m.(*HelloAck)
-	if ack.Node != 3 || ack.LastSeq != 42 || ack.Window != 9 {
-		t.Fatalf("v3 ack mismatch: %+v", ack)
+	if ack.Node != 3 || ack.LastSeq != 42 || ack.Window != 9 || ack.Version != ProtocolVersion {
+		t.Fatalf("HELLO_ACK = %+v", ack)
 	}
-	if ack.Version != 0 {
-		t.Fatalf("v3 HELLO_ACK decoded Version = %d, want 0 (no echo on the wire)", ack.Version)
-	}
-	// Frame = 5 header + node(4) + resumed(4) + lastseq(8) + window(4).
-	if got := ca.BytesOut() - prev; got != 25 {
-		t.Fatalf("v3 HELLO_ACK frame = %d bytes, want 25", got)
-	}
-
-	// Back at version 4 both fields round-trip.
-	ca.SetVersion(ProtocolVersion)
-	cb.SetVersion(ProtocolVersion)
-	go ca.Send(&Adjust{DeltaMicros: 7, RatePPB: 2_500})
-	m, err = cb.Recv()
-	if err != nil {
-		t.Fatalf("v4 adjust: %v", err)
-	}
-	if adj := m.(*Adjust); adj.RatePPB != 2_500 {
-		t.Fatalf("v4 ADJUST RatePPB = %d, want 2500", adj.RatePPB)
-	}
-	go ca.Send(&HelloAck{Node: 3, Version: ProtocolVersion})
-	m, err = cb.Recv()
-	if err != nil {
-		t.Fatalf("v4 hello ack: %v", err)
-	}
-	if ack := m.(*HelloAck); ack.Version != ProtocolVersion {
-		t.Fatalf("v4 HELLO_ACK Version = %d, want %d", ack.Version, ProtocolVersion)
+	// Frame = 5 header + node(4) + resumed(4) + lastseq(8) + window(4) + version(4).
+	if got := ca.BytesOut() - prev; got != 29 {
+		t.Fatalf("HELLO_ACK frame = %d bytes, want 29", got)
 	}
 }
 

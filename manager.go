@@ -78,15 +78,9 @@ const (
 // SyncOptions tunes the clock-synchronization master.
 type SyncOptions struct {
 	// Period is the polling round period; 0 disables synchronization.
+	// Each round takes 5 probes per slave and applies 0.7 of the skew
+	// below a 100 µs threshold (the paper's values).
 	Period time.Duration
-	// ProbesPerSlave is the probes per slave per round (default 5).
-	ProbesPerSlave int
-	// Threshold is the average-relative-skew bound (µs) below which the
-	// damped correction applies (default 100).
-	Threshold int64
-	// Damping is the fixed portion applied below the threshold
-	// (default 0.7, the paper's value).
-	Damping float64
 	// MaxRTT discards probes with round trips above this bound (µs).
 	MaxRTT int64
 	// UncertaintyBound, when > 0, switches the master to model-based
@@ -122,23 +116,9 @@ type PICLOptions struct {
 // value is a working configuration; see TUNING.md for sizing the window
 // against the memory budget.
 type SubscribeOptions struct {
-	// Shards is the hot-window shard count (power of two, max 64;
-	// default 8).
-	Shards int
 	// WindowBytes is the hot window's byte budget across shards
 	// (default 8 MiB).
 	WindowBytes int
-	// WindowTTL bounds entry age (default 30 s; negative disables).
-	WindowTTL time.Duration
-	// BatchRecords caps entries copied per shard lock hold on reads
-	// (default 256).
-	BatchRecords int
-	// SketchWidth and SketchDepth size the count-min sketch behind
-	// /topk (defaults 1024 and 4).
-	SketchWidth, SketchDepth int
-	// TopK is the number of heavy-hitter candidates tracked per
-	// dimension (default 16).
-	TopK int
 }
 
 // ManagerOptions configures StartManager. The zero value listens on an
@@ -159,24 +139,15 @@ type ManagerOptions struct {
 	OLSShards int
 	// Sync tunes the clock-synchronization master.
 	Sync SyncOptions
-	// CRETimeout bounds retention of unmatched causal records (µs).
-	CRETimeout int64
 	// MergeInterval is the merger wake period (default 5 ms) — the
 	// manager-side latency knob.
 	MergeInterval time.Duration
 	// BufferRecords is the consumer memory-buffer capacity (default
 	// 65536 records).
 	BufferRecords int
-	// DecodeQueueDepth is the per-session decode-worker queue depth in
-	// batches (default 4). Deeper queues absorb burstier sessions before
-	// TCP backpressure engages; each slot can pin one batch payload.
-	DecodeQueueDepth int
-	// SinkBatchRecords caps how many sorted records accumulate before the
-	// sinks are flushed mid-extraction (default 512). Larger batches
-	// amortize sink locking; smaller ones bound sink-visible latency.
-	SinkBatchRecords int
 	// HeartbeatInterval is the per-sensor PING period for dead-peer
-	// detection (default 1 s; negative disables).
+	// detection (default 1 s; negative disables). A sensor silent for
+	// three intervals is disconnected.
 	HeartbeatInterval time.Duration
 	// SessionRetention bounds how long a disconnected sensor's session
 	// (node id + dedupe state) is kept for resumption (default 2 min;
@@ -209,11 +180,8 @@ type ManagerOptions struct {
 	// ack gating explicitly.
 	AckHighWater int
 	// AckLowWater is the reopen threshold of the ack gate (default half
-	// of AckHighWater).
+	// of AckHighWater). Each grant is capped at 4096 records per sensor.
 	AckLowWater int
-	// MaxCreditWindow caps the per-sensor credit grant carried on each
-	// acknowledgement (default 4096 records).
-	MaxCreditWindow int
 }
 
 // FilterEvents returns a Filter passing only the given event classes —
@@ -249,14 +217,8 @@ func StartManager(opts ManagerOptions) (*Manager, error) {
 			opts.Metrics = NewMetrics()
 		}
 		eng = subscribe.New(subscribe.Config{
-			Shards:       opts.Subscribe.Shards,
-			WindowBytes:  opts.Subscribe.WindowBytes,
-			WindowTTL:    opts.Subscribe.WindowTTL,
-			BatchRecords: opts.Subscribe.BatchRecords,
-			SketchWidth:  opts.Subscribe.SketchWidth,
-			SketchDepth:  opts.Subscribe.SketchDepth,
-			TopK:         opts.Subscribe.TopK,
-			Metrics:      opts.Metrics,
+			WindowBytes: opts.Subscribe.WindowBytes,
+			Metrics:     opts.Metrics,
 		})
 	}
 	cfg := ism.Config{
@@ -272,19 +234,12 @@ func StartManager(opts ManagerOptions) (*Manager, error) {
 			SourceQuota: opts.Sorter.SourceQuota,
 			Core:        opts.Sorter.Core,
 		},
-		OLSShards:        opts.OLSShards,
-		AckHighWater:     opts.AckHighWater,
-		AckLowWater:      opts.AckLowWater,
-		MaxCreditWindow:  opts.MaxCreditWindow,
-		CRETimeout:       opts.CRETimeout,
-		MergeInterval:    opts.MergeInterval,
-		BufferRecords:    opts.BufferRecords,
-		DecodeQueueDepth: opts.DecodeQueueDepth,
-		SinkBatchRecords: opts.SinkBatchRecords,
+		OLSShards:     opts.OLSShards,
+		AckHighWater:  opts.AckHighWater,
+		AckLowWater:   opts.AckLowWater,
+		MergeInterval: opts.MergeInterval,
+		BufferRecords: opts.BufferRecords,
 		Sync: clocksync.Config{
-			ProbesPerSlave:   opts.Sync.ProbesPerSlave,
-			Threshold:        opts.Sync.Threshold,
-			Damping:          opts.Sync.Damping,
 			MaxRTT:           opts.Sync.MaxRTT,
 			UncertaintyBound: opts.Sync.UncertaintyBound,
 			MinProbeInterval: opts.Sync.MinProbeInterval,

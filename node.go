@@ -23,12 +23,9 @@ type NodeOptions struct {
 	// BatchBytes triggers a batch send at this size (default 16384).
 	BatchBytes int
 	// FlushInterval bounds how long a partial batch waits (default 5 ms)
-	// — the node-side latency knob.
+	// — the node-side latency knob. While the manager withholds credit
+	// under overload the sensor widens it up to 8 × FlushInterval.
 	FlushInterval time.Duration
-	// MaxFlushInterval bounds how far the sensor widens its effective
-	// flush interval while the manager withholds credit under overload
-	// (default 8 × FlushInterval).
-	MaxFlushInterval time.Duration
 	// PollInterval is the external sensor's ring-scan period while idle
 	// (default 500 µs).
 	PollInterval time.Duration
@@ -62,9 +59,6 @@ type NodeOptions struct {
 type SensorOptions struct {
 	// RingBytes is the sensor's ring capacity (default 65536).
 	RingBytes int
-	// SampleEvery, when > 1, records only every n-th notice — the
-	// volume-control knob for very high-rate instrumentation points.
-	SampleEvery int
 }
 
 // NodeStats snapshots the node's external-sensor counters.
@@ -102,7 +96,6 @@ func ConnectNodeContext(ctx context.Context, opts NodeOptions) (*Node, error) {
 		Clock:                clock,
 		BatchBytes:           opts.BatchBytes,
 		FlushInterval:        opts.FlushInterval,
-		MaxFlushInterval:     opts.MaxFlushInterval,
 		PollInterval:         opts.PollInterval,
 		ReconnectBase:        opts.ReconnectBase,
 		ReconnectMax:         opts.ReconnectMax,
@@ -130,9 +123,8 @@ func (n *Node) NewSensor(name string, opts ...SensorOptions) *Sensor {
 		o = opts[0]
 	}
 	return sensor.New(n.region, name, sensor.Options{
-		RingBytes:   o.RingBytes,
-		SampleEvery: o.SampleEvery,
-		Clock:       n.raw,
+		RingBytes: o.RingBytes,
+		Clock:     n.raw,
 	})
 }
 
