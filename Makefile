@@ -73,7 +73,8 @@ bench:
 # Performance-regression gate: the zero-allocation contracts (exact, via
 # testing.AllocsPerRun; in internal/ols they include the whole byte path
 # scan → push → extract → sink-encode on both cores, in internal/record
-# the batch scanner), the short ingest benchmark compared against the
+# the batch scanner, in internal/subscribe the HTTP read side's render
+# path), the short ingest benchmark compared against the
 # committed baseline — fails on >BENCH_MAXLOSS fractional throughput loss
 # or on any real allocs-per-record growth — and the sorter-stage matrix
 # over cores {calendar, heap} × shards {1, 4}: the calendar core must
@@ -84,7 +85,7 @@ bench:
 # JSON). Writes the current numbers to BENCH_current.json (gitignored; CI
 # uploads it as an artifact).
 bench-check:
-	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync
+	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync ./internal/subscribe
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)
 
 # The repository benchmark (benchmark/, run by benchmark/run.sh) is its
@@ -116,13 +117,16 @@ scenario-full:
 # Ten-second fuzz smokes of the decoders that ingest untrusted or
 # hand-edited bytes: the data-batch frame decoder (every sensor link), the
 # record scanner the manager validates every ingested record with (held
-# to the reference decoder it replaced), and the scenario-spec parser
-# (every scenarios/*.json file). Quick enough to sit in the default gate.
+# to the reference decoder it replaced), the scenario-spec parser (every
+# scenarios/*.json file), the subscription filter compiler, and the read
+# side's JSON renderer (held to the encoding/json rendering it replaced).
+# Quick enough to sit in the default gate.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDataBatch -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz FuzzScanVsDecode -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime 10s -run '^$$' ./internal/scenario/
 	$(GO) test -fuzz FuzzFilterExpr -fuzztime 10s -run '^$$' ./internal/subscribe/
+	$(GO) test -fuzz FuzzAppendEventVsJSON -fuzztime 10s -run '^$$' ./internal/subscribe/
 
 # Short fuzzing pass over the decoders.
 fuzz:
@@ -134,6 +138,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecoder -fuzztime 30s ./internal/xdr/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzFilterExpr -fuzztime 30s ./internal/subscribe/
+	$(GO) test -fuzz FuzzAppendEventVsJSON -fuzztime 30s ./internal/subscribe/
 
 # Regenerate every table of the paper's evaluation.
 eval:

@@ -143,16 +143,13 @@ func (s *shard) grow() {
 // arena (offsets into it, so one arena allocation serves the batch).
 type loaded struct {
 	seq      uint64
-	ts       int64
 	node     int32
-	event    uint8
-	hasTS    bool
 	off, end int // slice bounds into the caller's arena
 }
 
 // load batch-copies up to max entries with logical index >= from into
 // out/arena, pre-filtering on entry metadata under one lock hold — the
-// shared batch loader for subscriber catch-up and bounded queries. It
+// batch loader for subscriber catch-up and live tails. It
 // reports the entries scanned (not just matched) so cursors advance past
 // non-matching records, the gap [from, tail) if the cursor was overrun,
 // and the shard's current tail and head.
@@ -170,15 +167,39 @@ func (s *shard) load(f *Filter, from uint64, max int, out []loaded, arena []byte
 		if f != nil && !f.MatchMeta(e.node, e.event, e.ts, e.hasTS) {
 			continue
 		}
-		off := len(arena)
-		arena = append(arena, e.buf...)
-		out = append(out, loaded{
-			seq: e.seq, ts: e.ts, node: e.node, event: e.event,
-			hasTS: e.hasTS, off: off, end: len(arena),
-		})
+		out, arena = e.copyOut(out, arena)
 	}
 	s.mu.Unlock()
 	return out, arena, scanned, gap, gapTS, tail, head
+}
+
+// loadBack is load walking newest-first, the query's loader: it scans
+// down from logical index before-1 toward tail, at most maxScan entries,
+// and stops early once maxOut entries matched. out is in descending
+// index order. It reports the entries scanned and the shard's tail.
+func (s *shard) loadBack(f *Filter, before uint64, maxScan, maxOut int, out []loaded, arena []byte) (res []loaded, ar []byte, scanned, tail uint64) {
+	s.mu.Lock()
+	tail = s.tail
+	before = min(before, s.head)
+	for i := before; i > tail && scanned < uint64(maxScan) && len(out) < maxOut; {
+		i--
+		e := &s.entries[i&uint64(len(s.entries)-1)]
+		scanned++
+		if !f.MatchMeta(e.node, e.event, e.ts, e.hasTS) {
+			continue
+		}
+		out, arena = e.copyOut(out, arena)
+	}
+	s.mu.Unlock()
+	return out, arena, scanned, tail
+}
+
+// copyOut appends the entry's metadata to out and its encoding to arena.
+// Shard lock held.
+func (e *entry) copyOut(out []loaded, arena []byte) ([]loaded, []byte) {
+	off := len(arena)
+	arena = append(arena, e.buf...)
+	return append(out, loaded{seq: e.seq, node: e.node, off: off, end: len(arena)}), arena
 }
 
 // bounds returns the shard's current retention window without copying.

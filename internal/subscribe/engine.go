@@ -1,9 +1,11 @@
 package subscribe
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,9 +243,10 @@ type Subscription struct {
 	dropped   uint64
 
 	loadBuf []loaded
-	arena   []byte
+	arena   []byte // bodies of the last collected batch
+	views   []view
 	events  []Event
-	dec     record.Record
+	scratch [record.MaxFields]record.Value // field-filter decode space
 }
 
 // Subscribe attaches a streaming subscription. With fromOldest the
@@ -314,10 +317,36 @@ func (s *Subscription) Stats() (delivered, dropped uint64) {
 // retained. After Close, Next drains remaining reachable events and
 // then returns io.EOF — the clean end-of-stream.
 func (s *Subscription) Next(ctx context.Context) ([]Event, error) {
+	vs, err := s.nextViews(ctx)
+	if err != nil {
+		return nil, err
+	}
+	s.events = materialize(s.events[:0], vs, s.arena)
+	return s.events, nil
+}
+
+// materialize appends the views as events with private Fields.
+func materialize(dst []Event, vs []view, arena []byte) []Event {
+	for i := range vs {
+		v := &vs[i]
+		ev := Event{Seq: v.seq, Shard: v.shard}
+		if _, err := record.DecodeInto(&ev.Record, arena[v.off:v.end]); err != nil {
+			continue // cannot happen: the cache stores what the sink encoded
+		}
+		ev.Record.Node = v.node
+		dst = append(dst, ev)
+	}
+	return dst
+}
+
+// nextViews is Next without materialising: it returns the batch as
+// views whose bodies lie in s.arena, valid until the next call. The HTTP
+// tail renders them straight from those bytes.
+func (s *Subscription) nextViews(ctx context.Context) ([]view, error) {
 	for {
-		evs, progressed := s.collect()
-		if len(evs) > 0 {
-			return evs, nil
+		progressed := s.collect()
+		if len(s.views) > 0 {
+			return s.views, nil
 		}
 		if progressed {
 			// Scanned entries that all filtered out: more may remain
@@ -327,8 +356,8 @@ func (s *Subscription) Next(ctx context.Context) ([]Event, error) {
 		select {
 		case <-s.wake:
 		case <-s.done:
-			if evs, _ := s.collect(); len(evs) > 0 {
-				return evs, nil
+			if s.collect(); len(s.views) > 0 {
+				return s.views, nil
 			}
 			return nil, io.EOF
 		case <-ctx.Done():
@@ -337,16 +366,27 @@ func (s *Subscription) Next(ctx context.Context) ([]Event, error) {
 	}
 }
 
-// collect performs one batched read pass over the subscription's shards:
-// copy out up to BatchRecords matching entries per shard (metadata
-// pre-filtered under the shard lock), synthesize loss markers for
-// overrun cursors, decode and field-filter outside the locks, and merge
-// to global emission order. progressed reports whether any cursor moved.
-func (s *Subscription) collect() ([]Event, bool) {
+// view is one collected delivery before it is materialised or rendered:
+// a hot-window entry's body (node prefix stripped) or a synthesized
+// read-side loss marker, in the reader's arena.
+type view struct {
+	seq      uint64
+	shard    int
+	node     int32
+	loss     bool // a loss marker, read-side or written into the window
+	off, end int  // the record body in the arena
+}
+
+// collect performs one batched read pass over the subscription's shards
+// into s.views and s.arena: copy out up to BatchRecords matching entries
+// per shard (metadata pre-filtered under the shard lock), synthesize
+// loss markers for overrun cursors, field-filter outside the locks, and
+// merge to global emission order. progressed reports whether any cursor
+// moved.
+func (s *Subscription) collect() (progressed bool) {
 	e := s.e
-	s.events = s.events[:0]
+	s.views = s.views[:0]
 	s.arena = s.arena[:0]
-	progressed := false
 	var lag int64
 	for _, i := range s.shards {
 		cursor := s.cursors[i]
@@ -363,9 +403,10 @@ func (s *Subscription) collect() ([]Event, bool) {
 			if len(loadedE) > 0 {
 				markerSeq = loadedE[0].seq
 			}
-			m := Event{Seq: markerSeq, Shard: i}
-			m.Record = record.NewLossMarker(gap, 0, gapTS)
-			s.events = append(s.events, m)
+			m := record.NewLossMarker(gap, 0, gapTS)
+			off := len(s.arena)
+			s.arena, _ = m.Append(s.arena)
+			s.views = append(s.views, view{seq: markerSeq, shard: i, loss: true, off: off, end: len(s.arena)})
 			progressed = true
 		}
 		if scanned > 0 {
@@ -376,26 +417,21 @@ func (s *Subscription) collect() ([]Event, bool) {
 		lag += int64(head - cursor)
 		for j := range loadedE {
 			l := &loadedE[j]
-			buf := s.arena[l.off:l.end]
-			if _, err := record.DecodeInto(&s.dec, buf[4:]); err != nil {
-				continue // cannot happen: the cache stores what the sink encoded
-			}
-			s.dec.Node = l.node
-			if s.f.NeedsFields() && !s.f.MatchFields(&s.dec) {
+			body := s.arena[l.off+4 : l.end]
+			if s.f.NeedsFields() && !s.f.matchBody(body, &s.scratch) {
 				continue
 			}
-			ev := Event{Seq: l.seq, Shard: i, Record: s.dec}
-			ev.Record.Detach()
-			s.events = append(s.events, ev)
+			s.views = append(s.views, view{seq: l.seq, shard: i, node: l.node,
+				loss: isLossBody(body), off: l.off + 4, end: l.end})
 		}
 		s.loadBuf = loadedE[:0]
 	}
 	s.lag.Store(lag)
-	if len(s.events) > 0 {
-		sortEvents(s.events)
+	if len(s.views) > 0 {
+		sortViews(s.views)
 		n := uint64(0)
-		for i := range s.events {
-			if !record.IsLossMarker(&s.events[i].Record) {
+		for i := range s.views {
+			if !s.views[i].loss {
 				n++
 			}
 		}
@@ -403,26 +439,35 @@ func (s *Subscription) collect() ([]Event, bool) {
 		e.deliveredC.Add(n)
 		e.hitsC.Add(n)
 	}
-	return s.events, progressed
+	return progressed
 }
 
-// sortEvents orders a collected batch by global emission sequence, loss
+// isLossBody reports whether an encoded record body is a loss marker.
+func isLossBody(body []byte) bool {
+	if body[2] != record.LossEvent {
+		return false
+	}
+	r := record.FromEncoded(body, 0, 0)
+	return record.IsLossMarker(&r)
+}
+
+// sortViews orders a collected batch by global emission sequence, loss
 // markers first among equals (a marker covers records published before
 // the record carrying the same sequence). Insertion sort: batches are
 // small and almost sorted (each shard contributes an ascending run).
-func sortEvents(evs []Event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && eventLess(&evs[j], &evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
+func sortViews(vs []view) {
+	for i := 1; i < len(vs); i++ {
+		for j := i; j > 0 && viewLess(&vs[j], &vs[j-1]); j-- {
+			vs[j], vs[j-1] = vs[j-1], vs[j]
 		}
 	}
 }
 
-func eventLess(a, b *Event) bool {
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
+func viewLess(a, b *view) bool {
+	if a.seq != b.seq {
+		return a.seq < b.seq
 	}
-	return record.IsLossMarker(&a.Record) && !record.IsLossMarker(&b.Record)
+	return a.loss && !b.loss
 }
 
 // Query reads a bounded window from the hot cache without subscribing:
@@ -430,6 +475,16 @@ func eventLess(a, b *Event) bool {
 // The scan is bounded by the cache retention itself — the hot window is
 // the query's universe; older data is not reachable from this engine.
 func (e *Engine) Query(f *Filter, limit int) []Event {
+	vs, arena := e.query(f, limit)
+	return materialize(make([]Event, 0, len(vs)), vs, arena)
+}
+
+// query finds the newest limit matches of f as views over the returned
+// arena, ascending by seq. Each reachable shard is read newest-first, in
+// BatchRecords windows pre-filtered on metadata under the shard lock and
+// field-filtered outside it, and stops at limit matches; only the
+// matches' bodies are kept.
+func (e *Engine) query(f *Filter, limit int) ([]view, []byte) {
 	if f == nil {
 		f = &Filter{tsMin: -1 << 63, tsMax: 1<<63 - 1}
 	}
@@ -437,46 +492,52 @@ func (e *Engine) Query(f *Filter, limit int) []Event {
 		limit = 1000
 	}
 	e.queriesC.Inc()
-	var out []Event
-	var arena []byte
-	var dec record.Record
-	mask := f.shardMask(len(e.cache.shards))
+	var (
+		vs          []view
+		arena, scr  []byte
+		loadedE     []loaded
+		scratch     [record.MaxFields]record.Value
+		batch       = e.cfg.BatchRecords
+		mask        = f.shardMask(len(e.cache.shards))
+		needsFields = f.NeedsFields()
+	)
 	for i, sh := range e.cache.shards {
 		if mask&(1<<i) == 0 {
 			continue
 		}
-		cursor, _ := sh.bounds()
-		for {
-			var loadedE []loaded
-			arena = arena[:0]
-			loadedE, arena2, scanned, _, _, _, head := sh.load(f, cursor, e.cfg.BatchRecords, loadedE, arena)
-			arena = arena2
+		_, before := sh.bounds()
+		for found := 0; found < limit; {
+			want := batch
+			if !needsFields && limit-found < want {
+				want = limit - found
+			}
+			var scanned, tail uint64
+			loadedE, scr, scanned, tail = sh.loadBack(f, before, batch, want, loadedE[:0], scr[:0])
 			for j := range loadedE {
 				l := &loadedE[j]
-				buf := arena[l.off:l.end]
-				if _, err := record.DecodeInto(&dec, buf[4:]); err != nil {
+				body := scr[l.off+4 : l.end]
+				if needsFields && !f.matchBody(body, &scratch) {
 					continue
 				}
-				dec.Node = l.node
-				if f.NeedsFields() && !f.MatchFields(&dec) {
-					continue
+				off := len(arena)
+				arena = append(arena, body...)
+				vs = append(vs, view{seq: l.seq, shard: i, node: l.node, off: off, end: len(arena)})
+				if found++; found == limit {
+					break
 				}
-				ev := Event{Seq: l.seq, Shard: i, Record: dec}
-				ev.Record.Detach()
-				out = append(out, ev)
 			}
-			cursor += scanned
-			if scanned == 0 || cursor >= head {
+			before -= scanned
+			if scanned == 0 || before <= tail {
 				break
 			}
 		}
 	}
-	sortEvents(out)
-	if len(out) > limit {
-		out = out[len(out)-limit:] // keep the newest
+	slices.SortFunc(vs, func(a, b view) int { return cmp.Compare(a.seq, b.seq) })
+	if len(vs) > limit {
+		vs = vs[len(vs)-limit:] // keep the newest
 	}
-	e.hitsC.Add(uint64(len(out)))
-	return out
+	e.hitsC.Add(uint64(len(vs)))
+	return vs, arena
 }
 
 // TopSources returns the estimated K noisiest sources (node ids) seen

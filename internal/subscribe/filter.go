@@ -267,13 +267,24 @@ func (f *Filter) NeedsFields() bool { return len(f.preds) > 0 }
 
 // MatchFields evaluates the field predicates against a decoded record.
 // Allocation-free.
-func (f *Filter) MatchFields(rec *record.Record) bool {
+func (f *Filter) MatchFields(rec *record.Record) bool { return f.matchValues(rec.Fields) }
+
+// matchBody evaluates the field predicates against an encoded record
+// body, decoded into the caller's scratch array (a reader keeps one, so
+// that steady-state matching allocates nothing but string copies).
+func (f *Filter) matchBody(body []byte, buf *[record.MaxFields]record.Value) bool {
+	r := record.FromEncoded(body, 0, 0)
+	fields, err := r.DecodeFields(buf)
+	return err == nil && f.matchValues(fields)
+}
+
+func (f *Filter) matchValues(fields []record.Value) bool {
 	for i := range f.preds {
 		p := &f.preds[i]
-		if p.idx >= len(rec.Fields) {
+		if p.idx >= len(fields) {
 			return false
 		}
-		v := &rec.Fields[p.idx]
+		v := &fields[p.idx]
 		if p.isStr {
 			if v.Type != record.String || !cmpOK(p.op, strings.Compare(v.Str, p.str)) {
 				return false

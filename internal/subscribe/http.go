@@ -5,76 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"brisk/internal/record"
 )
-
-// wireEvent is the JSON rendering of one delivered event — one NDJSON
-// line on /subscribe, one array element on /query.
-type wireEvent struct {
-	Seq   uint64      `json:"seq"`
-	Node  int32       `json:"node"`
-	Event uint8       `json:"event"`
-	TS    *int64      `json:"ts,omitempty"`
-	Loss  *wireLoss   `json:"loss,omitempty"`
-	Field []wireField `json:"fields,omitempty"`
-}
-
-// wireLoss makes a read-side gap explicit on the wire: count records
-// were missed; the marker's shard locates it; last_ts ends the covered
-// range (first_ts is 0 when unknown).
-type wireLoss struct {
-	Count   uint64 `json:"count"`
-	Shard   int    `json:"shard"`
-	FirstTS int64  `json:"first_ts"`
-	LastTS  int64  `json:"last_ts"`
-}
-
-type wireField struct {
-	Type string  `json:"type"`
-	Int  *int64  `json:"int,omitempty"`
-	Uint *uint64 `json:"uint,omitempty"`
-	F    *string `json:"float,omitempty"` // rendered, avoids NaN/Inf JSON issues
-	Str  *string `json:"str,omitempty"`
-	Bool *bool   `json:"bool,omitempty"`
-}
-
-func renderEvent(ev *Event) wireEvent {
-	w := wireEvent{Seq: ev.Seq, Node: ev.Record.Node, Event: ev.Record.Event}
-	if count, firstTS, lastTS, ok := record.LossInfo(&ev.Record); ok {
-		w.Loss = &wireLoss{Count: count, Shard: ev.Shard, FirstTS: firstTS, LastTS: lastTS}
-		return w
-	}
-	if ev.Record.HasTS {
-		ts := ev.Record.TS
-		w.TS = &ts
-	}
-	for _, f := range ev.Record.Fields {
-		wf := wireField{Type: f.Type.String()}
-		switch f.Type {
-		case record.TS:
-			continue // already on the event envelope
-		case record.Int8, record.Int16, record.Int32, record.Int64:
-			v := f.Int()
-			wf.Int = &v
-		case record.Uint8, record.Uint16, record.Uint32, record.Uint64,
-			record.Reason, record.Conseq:
-			v := f.Uint()
-			wf.Uint = &v
-		case record.Float32, record.Float64:
-			v := strconv.FormatFloat(f.Float(), 'g', -1, 64)
-			wf.F = &v
-		case record.String:
-			s := f.Str
-			wf.Str = &s
-		case record.Bool:
-			v := f.Bool()
-			wf.Bool = &v
-		}
-		w.Field = append(w.Field, wf)
-	}
-	return w
-}
 
 // Handler returns the engine's HTTP API as one handler serving
 //
@@ -105,7 +36,8 @@ func parseFilterParam(w http.ResponseWriter, req *http.Request) (*Filter, bool) 
 // ServeSubscribe streams matching events as NDJSON until the client
 // disconnects or the engine shuts down; shutdown ends the response
 // cleanly (terminated chunked body), so well-behaved clients see EOF,
-// not a reset.
+// not a reset. Each batch is rendered from the hot window's bytes into
+// one reused buffer: one write and one flush per batch.
 func (e *Engine) ServeSubscribe(w http.ResponseWriter, req *http.Request) {
 	f, ok := parseFilterParam(w, req)
 	if !ok {
@@ -125,18 +57,20 @@ func (e *Engine) ServeSubscribe(w http.ResponseWriter, req *http.Request) {
 	if flusher != nil {
 		flusher.Flush() // commit headers so the client sees the stream open
 	}
-	enc := json.NewEncoder(w)
 	ctx := req.Context()
+	var buf []byte
 	for {
-		evs, err := sub.Next(ctx)
+		vs, err := sub.nextViews(ctx)
 		if err != nil {
 			return // client gone or engine closed: end the body cleanly
 		}
-		for i := range evs {
-			we := renderEvent(&evs[i])
-			if err := enc.Encode(&we); err != nil {
-				return
-			}
+		buf = buf[:0]
+		for i := range vs {
+			v := &vs[i]
+			buf = appendEvent(buf, v.seq, v.shard, v.node, sub.arena[v.off:v.end])
+		}
+		if _, err := w.Write(buf); err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -159,13 +93,19 @@ func (e *Engine) ServeQuery(w http.ResponseWriter, req *http.Request) {
 		}
 		limit = n
 	}
-	evs := e.Query(f, limit)
-	out := make([]wireEvent, 0, len(evs))
-	for i := range evs {
-		out = append(out, renderEvent(&evs[i]))
+	vs, arena := e.query(f, limit)
+	buf := append(make([]byte, 0, 4*len(arena)+3), '[')
+	for i := range vs {
+		v := &vs[i]
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendEvent(buf, v.seq, v.shard, v.node, arena[v.off:v.end])
+		buf = buf[:len(buf)-1] // array elements, not NDJSON lines
 	}
+	buf = append(buf, "]\n"...)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(out)
+	w.Write(buf) // a failed write means the client left; there is no one to tell
 }
 
 // ServeTopK answers the sketch's heavy-hitter estimate.

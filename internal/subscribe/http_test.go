@@ -151,15 +151,3 @@ func TestServeSubscribeBadFilter(t *testing.T) {
 		t.Fatalf("bad filter: status %d, want 400", resp.StatusCode)
 	}
 }
-
-func TestRenderEventLossMarker(t *testing.T) {
-	ev := Event{Seq: 5, Shard: 2, Record: record.NewLossMarker(10, 3, 99)}
-	w := renderEvent(&ev)
-	if w.Loss == nil || w.Loss.Count != 10 || w.Loss.Shard != 2 ||
-		w.Loss.FirstTS != 3 || w.Loss.LastTS != 99 {
-		t.Fatalf("loss marker rendered wrong: %+v", w)
-	}
-	if w.TS != nil || len(w.Field) != 0 {
-		t.Fatalf("loss marker must not carry data fields: %+v", w)
-	}
-}
