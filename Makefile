@@ -57,10 +57,10 @@ test:
 
 # Race-detector pass over the concurrent core: the packages where
 # reconnect, resume, fault injection, sharded sorting, subscription
-# fan-out, rate-extrapolating clocks, and the pooled record paths hammer
-# shared state.
+# fan-out, rate-extrapolating clocks, the pooled record paths, and the
+# public Manager wrapper and Consumer hammer shared state.
 test-race:
-	$(GO) test -race ./internal/exs ./internal/uplink ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
+	$(GO) test -race . ./internal/exs ./internal/uplink ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
 
 # Full suite under the race detector (slower).
 race:
@@ -74,7 +74,8 @@ bench:
 # testing.AllocsPerRun; in internal/ols they include the whole byte path
 # scan → push → extract → sink-encode on both cores, in internal/record
 # the batch scanner, in internal/subscribe the HTTP read side's render
-# path), the short ingest benchmark compared against the
+# path, in the root package the Consumer's read path, ≤ 0.01 allocations
+# per record), the short ingest benchmark compared against the
 # committed baseline — fails on >BENCH_MAXLOSS fractional throughput loss
 # or on any real allocs-per-record growth — and the sorter-stage matrix
 # over cores {calendar, heap} × shards {1, 4}: the calendar core must
@@ -85,7 +86,7 @@ bench:
 # JSON). Writes the current numbers to BENCH_current.json (gitignored; CI
 # uploads it as an artifact).
 bench-check:
-	$(GO) test -run 'TestAllocs' ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync ./internal/subscribe
+	$(GO) test -run 'TestAllocs' . ./internal/record ./internal/ols ./internal/picl ./internal/shm ./internal/wire ./internal/clocksync ./internal/subscribe
 	$(GO) run ./cmd/briskbench benchgate -baseline BENCH_baseline.json -out BENCH_current.json -maxloss $(BENCH_MAXLOSS)
 
 # The repository benchmark (benchmark/, run by benchmark/run.sh) is its

@@ -74,8 +74,8 @@ type expiry struct {
 }
 
 // Matcher holds the reason table and waiting consequences. Not safe for
-// concurrent use; it lives on the ISM's merger goroutine downstream of the
-// on-line sorter.
+// concurrent use; the ISM drives it under one pipeline lock, downstream of
+// the on-line sorter.
 type Matcher struct {
 	cfg     Config
 	reasons map[uint64]reasonEntry

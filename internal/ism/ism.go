@@ -55,8 +55,9 @@ type Config struct {
 	// Sources are partitioned across shards (each with its own heap and
 	// adaptive time frame) and the shard outputs are recombined through
 	// a timestamp-keyed k-way merge, so decode workers push in parallel
-	// instead of funnelling through one merge channel. 0 or 1 means a
-	// single sorter — the exact unsharded code path; negative means one
+	// and leave extraction to the merger. 0 or 1 means a single sorter,
+	// which each decode worker pushes into, extracts from and flushes to
+	// the sinks itself under sorterMu; negative means one
 	// shard per CPU (GOMAXPROCS). Values above GOMAXPROCS are honoured
 	// but add no parallelism.
 	OLSShards int
@@ -108,7 +109,8 @@ type Config struct {
 	Filter func(rec *record.Record) bool
 	// Forward, when non-nil, receives every sorted record the sinks
 	// accept (loss markers included — they are exempt from Filter),
-	// called on the merger goroutine with the pipeline lock held. The
+	// called with the pipeline lock (sorterMu) held: on the merger, or
+	// with one shard on whichever decode worker holds the lock. The
 	// relay tier uses it as its uplink tap. The record borrows merge
 	// staging storage: implementations must encode or copy what they
 	// keep before returning, and must never block.
@@ -117,8 +119,8 @@ type Config struct {
 	// every record the sinks accept (loss markers included) together
 	// with the node-prefixed encoding the memory-buffer sink produced
 	// and the flush's manager-clock instant, then one EndFlush per sink
-	// flush to amortize subscriber wake-ups. Both calls run on the
-	// merger goroutine with the pipeline lock held: implementations
+	// flush to amortize subscriber wake-ups. Both calls run with the
+	// pipeline lock held, on whichever goroutine holds it: implementations
 	// must never block and must not allocate on the Publish path — the
 	// ingest pipeline's zero-allocation contract extends through the
 	// tap. The record and encoding borrow merge staging storage and
@@ -151,8 +153,8 @@ const (
 	// decodeQueueDepth is the per-session decode-worker queue depth in
 	// batches: how many received-but-undecoded data batches may be
 	// buffered per session before its reader blocks, pushing backpressure
-	// into TCP. N sessions decode on N workers in parallel; the merger
-	// stays single-threaded.
+	// into TCP. N sessions decode on N workers in parallel; what lies
+	// downstream of the sorter runs one at a time under sorterMu.
 	decodeQueueDepth = 4
 	// sinkBatchRecords caps how many sorted records accumulate before an
 	// intra-merge sink flush. Larger batches amortize the per-flush costs
@@ -266,9 +268,15 @@ type session struct {
 	batchesC *metrics.Counter
 	dedupedC *metrics.Counter
 
+	// acceptMu makes acceptBatch's dedupe check, hand-off to the decode
+	// worker and lastSeq update one step. A reader evicted by a resume can
+	// still be blocked in that hand-off while the resumed link replays the
+	// same batch; without it both copies would pass the check.
+	acceptMu sync.Mutex
+
 	mu         sync.Mutex
 	name       string
-	lastSeq    uint64 // highest batch sequence accepted into the merger
+	lastSeq    uint64 // highest batch sequence handed to the decode worker
 	cur        *conn  // attached connection, nil while detached
 	detachedAt time.Time
 
@@ -283,13 +291,13 @@ type session struct {
 	stopOnce sync.Once
 
 	// inflight counts records accepted from this session's link but not
-	// yet through the sorter (queued for decode or in the merge channel);
+	// yet through the sorter (queued for decode or being pushed);
 	// the credit grant subtracts it so a sensor's window shrinks as its
 	// backlog inside the manager grows.
 	inflight atomic.Int64
 	// deferred holds the highest batch sequence whose ack the overload
-	// gate withheld (0 = none). The merger releases it when the sorter
-	// drains below the low watermark.
+	// gate withheld (0 = none). The next gate update that finds the
+	// sorter below the low watermark releases it.
 	deferred atomic.Uint64
 }
 
@@ -332,7 +340,6 @@ type Manager struct {
 	sessions map[uint64]*session
 	nextNode int32
 
-	merge       chan srcBatch
 	extractNow  chan struct{} // sharded mode: wakes the merger when a backlog builds
 	syncNow     chan struct{}
 	done        chan struct{}
@@ -350,11 +357,13 @@ type Manager struct {
 	bytesIn      *metrics.Counter
 	emitted      *metrics.Counter
 
-	// sorterMu guards the merger-owned pipeline state downstream of the
-	// sorter (matcher, out, sinkBufs, emitNow). The sorter itself locks
-	// internally per shard: with one shard pushes still funnel through
-	// the merge channel, with several the decode workers push into their
-	// shards directly and contend only inside ols.Sharded.
+	// sorterMu guards the pipeline state downstream of the sorter
+	// (matcher, out, sinkBufs, emitNow). The sorter itself locks
+	// internally per shard. With one shard a decode worker holds sorterMu
+	// across its whole merge event, push through sink flush, because the
+	// records an Extract hands out borrow the shard's slabs until the
+	// flush; with several the decode workers push into their shards
+	// outside it and contend only inside ols.Sharded.
 	sorterMu sync.Mutex
 	sorter   *ols.Sharded
 	shardN   int
@@ -362,7 +371,7 @@ type Manager struct {
 	emitLat  *metrics.Histogram
 	windowT  *metrics.Histogram
 
-	// Batched sink delivery, owned by the merge goroutine (sorterMu).
+	// Batched sink delivery, owned by whoever holds sorterMu.
 	// out collects fully-processed records between flushes; sinkBufs holds
 	// one recycled encode buffer per record of the largest flush so far.
 	out      []record.Record
@@ -377,8 +386,8 @@ type Manager struct {
 	sinkBatchH  *metrics.Histogram
 
 	// Credit-based flow control. Gate transitions run under gateMu —
-	// with one shard only the merger takes it, with several every decode
-	// worker updates the gate after its pushes; the per-connection
+	// every decode worker updates the gate after its pushes, the merger
+	// after its extraction passes; the per-connection
 	// readers read the atomics to size (or defer) each ack's window
 	// grant.
 	flowEnabled bool
@@ -399,7 +408,7 @@ type Manager struct {
 	overloadPause *metrics.Histogram
 	lossMarkersC  *metrics.Counter
 	markedLostC   *metrics.Counter
-	srcDropC      map[int32]*metrics.Counter // merger-owned label cache
+	srcDropC      map[int32]*metrics.Counter // sorterMu-owned label cache
 
 	syncRounds   *metrics.Counter
 	tachyonSyncs *metrics.Counter
@@ -425,26 +434,10 @@ type Manager struct {
 
 // Pipeline tracer stages owned by the manager side.
 const (
-	stageIngest      = iota // batch decoded off the wire, entering the merge queue
+	stageIngest      = iota // batch decoded off the wire, about to enter the sorter
 	stageSorterEmit         // record left the on-line sorter
 	stageSinkDeliver        // record delivered to the sinks
 )
-
-// srcBatch hands one scanned batch from a session's decode worker to the
-// merge goroutine. The batch pointer comes from record.GetBatch and its
-// records borrow payload, the wire buffer they were scanned in: the
-// merger pushes every record (the sorter copies the bytes out), then
-// returns the batch to the pool and the payload to the session's reader,
-// and credits the records back against the session's inflight count.
-// mixed marks a relay batch whose records carry their own origins in
-// rec.Node.
-type srcBatch struct {
-	node    int32
-	batch   *[]record.Record
-	payload []byte
-	sess    *session
-	mixed   bool
-}
 
 // lineBuffer renders one PICL line at a time for the visual dispatcher.
 type lineBuffer struct {
@@ -510,7 +503,6 @@ func New(cfg Config) (*Manager, error) {
 		buffer:      shm.NewBuffer(cfg.BufferRecords),
 		conns:       make(map[int32]*conn),
 		sessions:    make(map[uint64]*session),
-		merge:       make(chan srcBatch, 256),
 		extractNow:  make(chan struct{}, 1),
 		syncNow:     make(chan struct{}, 1),
 		done:        make(chan struct{}),
@@ -543,7 +535,7 @@ func New(cfg Config) (*Manager, error) {
 // registerMetrics creates (or adopts) the registry and binds every
 // manager-side series: live counters for the record path, histograms for
 // emit latency and the sorter's window trajectory, and func-backed views
-// over state owned by the merger (sorterMu) and the session table (m.mu).
+// over the pipeline state (sorterMu) and the session table (m.mu).
 // Func-backed series are evaluated outside the registry lock, so the
 // closures here may take those locks freely.
 func (m *Manager) registerMetrics(reg *metrics.Registry) {
@@ -992,12 +984,15 @@ func (m *Manager) handleConn(raw net.Conn) {
 func (m *Manager) acceptBatch(wc *wire.Conn, sess *session, seq uint64, count uint32, payload *[]byte, relay bool) bool {
 	m.batches.Inc()
 	m.bytesIn.Add(uint64(len(*payload)))
-	if seq != 0 && sess.id != 0 {
+	sequenced := seq != 0 && sess.id != 0
+	if sequenced {
+		sess.acceptMu.Lock()
 		sess.mu.Lock()
 		dup := seq <= sess.lastSeq
 		high := sess.lastSeq
 		sess.mu.Unlock()
 		if dup {
+			sess.acceptMu.Unlock()
 			// Replay of a batch merged before the link broke. Re-ack so
 			// the sender can release it (or defer the re-ack like any
 			// other when the gate is closed).
@@ -1008,30 +1003,17 @@ func (m *Manager) acceptBatch(wc *wire.Conn, sess *session, seq uint64, count ui
 			return m.ackOrDefer(wc, sess, high) == nil
 		}
 	}
-	// Hand the payload to the session's decode worker. RecvReuse lets us
-	// take ownership by swapping in a recycled buffer: the next frame
-	// decodes into that instead, so a steady stream allocates no payload
-	// storage at all.
-	pb := pending{count: count, payload: *payload, relay: relay}
-	select {
-	case *payload = <-sess.free:
-	default:
-		*payload = nil
-	}
-	sess.inflight.Add(int64(pb.count))
-	select {
-	case sess.work <- pb:
-	default:
-		// Queue full: the decode worker is behind. Block here so
-		// backpressure reaches the sender through TCP.
-		m.queueStalls.Inc()
-		select {
-		case sess.work <- pb:
-		case <-sess.quit:
-			return false
-		case <-m.done:
-			return false
+	queued := m.enqueue(sess, pending{count: count, payload: *payload, relay: relay}, payload)
+	if sequenced {
+		if queued {
+			sess.mu.Lock()
+			sess.lastSeq = seq
+			sess.mu.Unlock()
 		}
+		sess.acceptMu.Unlock()
+	}
+	if !queued {
+		return false
 	}
 	if sess.batchesC != nil {
 		sess.batchesC.Inc()
@@ -1041,18 +1023,42 @@ func (m *Manager) acceptBatch(wc *wire.Conn, sess *session, seq uint64, count ui
 	// overload it is either merged or represented by a loss-marker
 	// record, never silently discarded. When the sorter is past its high
 	// watermark the ack is deferred instead: the sender's credit runs dry
-	// and it pauses until the merger releases the ack.
-	if seq != 0 && sess.id != 0 {
-		sess.mu.Lock()
-		if seq > sess.lastSeq {
-			sess.lastSeq = seq
-		}
-		sess.mu.Unlock()
+	// and it pauses until a later gate update releases the ack.
+	if sequenced {
 		if err := m.ackOrDefer(wc, sess, seq); err != nil {
 			return false
 		}
 	}
 	return true
+}
+
+// enqueue hands pb to the session's decode worker, blocking while its
+// queue is full so backpressure reaches the sender through TCP. RecvReuse
+// lets the reader give up the payload by swapping a recycled buffer into
+// the reused wire message: the next frame decodes into that instead, so
+// a steady stream allocates no payload storage at all. It reports false
+// when the session or the manager stopped first.
+func (m *Manager) enqueue(sess *session, pb pending, payload *[]byte) bool {
+	select {
+	case *payload = <-sess.free:
+	default:
+		*payload = nil
+	}
+	sess.inflight.Add(int64(pb.count))
+	select {
+	case sess.work <- pb:
+		return true
+	default:
+	}
+	m.queueStalls.Inc()
+	select {
+	case sess.work <- pb:
+		return true
+	case <-sess.quit:
+		return false
+	case <-m.done:
+		return false
+	}
 }
 
 // unregisterSession drops a dead session's labeled series so the registry
@@ -1096,7 +1102,7 @@ func (m *Manager) grantWindow(s *session) (uint32, bool) {
 
 // ackOrDefer sends a cumulative data ack carrying a credit window, or —
 // when the overload gate withholds it — records the sequence for the
-// merger to acknowledge once the sorter drains. A deferred ack is the
+// gate to acknowledge once the sorter drains. A deferred ack is the
 // protocol's halt signal: the manager never sends an explicit zero
 // window, so a sensor out of credit is always woken by a later ack.
 func (m *Manager) ackOrDefer(wc *wire.Conn, s *session, seq uint64) error {
@@ -1118,8 +1124,8 @@ func (m *Manager) ackOrDefer(wc *wire.Conn, s *session, seq uint64) error {
 // is the aggregate sorter occupancy just sampled; the call itself runs
 // outside the sorter locks so releasing deferred acks (which takes m.mu
 // and writes to peer connections) never extends a merge critical
-// section. gateMu serializes concurrent callers — in sharded mode every
-// decode worker updates the gate after its pushes, not just the merger.
+// section. gateMu serializes concurrent callers — every decode worker
+// updates the gate after its pushes, not just the merger.
 func (m *Manager) updateGate(buffered int, now int64) {
 	if !m.flowEnabled {
 		return
@@ -1204,7 +1210,7 @@ func (m *Manager) harvestLosses() {
 }
 
 // srcDropCounter returns the per-source labeled drop counter, creating it
-// on the source's first drop. Merger-owned.
+// on the source's first drop. Runs with sorterMu held.
 func (m *Manager) srcDropCounter(src int32) *metrics.Counter {
 	if c, ok := m.srcDropC[src]; ok {
 		return c
@@ -1220,7 +1226,7 @@ func (m *Manager) srcDropCounter(src int32) *metrics.Counter {
 }
 
 // decodeLoop is one session's decode worker: it turns queued wire payloads
-// into pooled record batches and feeds the merger. One worker per session —
+// into pooled record batches and feeds the sorter. One worker per session —
 // not per connection — so N sessions decode in parallel while each source's
 // batches stay FIFO, across reconnects included. The worker outlives its
 // connections and stops either with its session or at shutdown (after the
@@ -1258,12 +1264,12 @@ func (m *Manager) drainWork(s *session) {
 
 // decodeOne scans one batch into a pooled record slice — validated as
 // strictly as a full decode, but each record stays the bytes it arrived
-// as — and hands it to the sorter: directly with several shards, through
-// the merger with one. The records borrow the payload buffer, so it goes
-// back to the session's reader only once the push has copied them out;
-// the batch comes back via the pool. A malformed batch severs the link —
-// it was already acked, so the sensor must not replay the poison frame
-// forever.
+// as — and hands it to the sorter: with several shards it pushes and
+// leaves extraction to the merger, with one it runs the whole merge event
+// itself. The records borrow the payload buffer, so it goes back to the
+// session's reader only once the push has copied them out; the batch
+// comes back via the pool. A malformed batch severs the link — it was
+// already acked, so the sensor must not replay the poison frame forever.
 func (m *Manager) decodeOne(s *session, pb pending) {
 	bp := record.GetBatch()
 	var recs []record.Record
@@ -1289,46 +1295,41 @@ func (m *Manager) decodeOne(s *session, pb pending) {
 			m.tracer.Observe(stageIngest, m.clock.NowMicros()-r.TS)
 		}
 	}
-	b := srcBatch{node: s.node, batch: bp, payload: pb.payload, sess: s, mixed: pb.relay}
-	if m.shardN > 1 {
-		// Sharded mode: push straight into this source's sorter shard
-		// instead of funnelling through the merge channel — decode workers
-		// for sources on different shards no longer serialize. Extraction
-		// (and everything downstream of it) stays with the merger; wake it
-		// when a sink batch's worth has built up so backlog drains at
-		// ingest rate, not merge-tick rate.
-		now := m.clock.NowMicros()
-		m.pushBatch(b, now)
-		m.updateGate(m.sorter.Buffered(), now)
-		if m.sorter.Buffered() >= sinkBatchRecords {
-			select {
-			case m.extractNow <- struct{}{}:
-				// Hand this processor to the merger just woken. On a
-				// saturated box a worker with a full queue otherwise runs
-				// out its time slice first, and what it pushes meanwhile
-				// ages in the sorter unextracted.
-				runtime.Gosched()
-			default:
-			}
-		}
+	if m.shardN == 1 {
+		m.mergeBatch(s, pb, bp)
 		return
 	}
-	select {
-	case m.merge <- b:
-	case <-m.done:
-		m.release(s, bp, pb.payload, len(recs))
+	// Sharded mode: push straight into this source's sorter shard, so
+	// decode workers for sources on different shards never serialize.
+	// Extraction (and everything downstream of it) stays with the merger;
+	// wake it when a sink batch's worth has built up so backlog drains at
+	// ingest rate, not merge-tick rate.
+	now := m.clock.NowMicros()
+	m.pushBatch(s, pb, bp, now)
+	m.updateGate(m.sorter.Buffered(), now)
+	if m.sorter.Buffered() >= sinkBatchRecords {
+		select {
+		case m.extractNow <- struct{}{}:
+			// Hand this processor to the merger just woken. On a
+			// saturated box a worker with a full queue otherwise runs
+			// out its time slice first, and what it pushes meanwhile
+			// ages in the sorter unextracted.
+			runtime.Gosched()
+		default:
+		}
 	}
 }
 
 // pushBatch moves one scanned batch into the sorter and, the sorter
 // having copied every record's bytes, releases what the batch borrowed.
-func (m *Manager) pushBatch(b srcBatch, now int64) {
-	if b.mixed {
-		m.sorter.PushMixed(*b.batch, now)
+// A relay batch's records carry their own origins in rec.Node.
+func (m *Manager) pushBatch(s *session, pb pending, bp *[]record.Record, now int64) {
+	if pb.relay {
+		m.sorter.PushMixed(*bp, now)
 	} else {
-		m.sorter.PushBatch(b.node, *b.batch, now)
+		m.sorter.PushBatch(s.node, *bp, now)
 	}
-	m.release(b.sess, b.batch, b.payload, len(*b.batch))
+	m.release(s, bp, pb.payload, len(*bp))
 }
 
 // release returns a batch to the pool and its payload buffer to the
@@ -1344,35 +1345,22 @@ func (m *Manager) release(s *session, bp *[]record.Record, payload []byte, n int
 	s.inflight.Add(-int64(n))
 }
 
-// mergeLoop is the single goroutine that owns the sorter, the matcher and
-// the sinks.
+// mergeLoop runs the timed extraction passes and the final flush at
+// shutdown.
 func (m *Manager) mergeLoop() {
 	defer m.wg.Done()
 	ticker := time.NewTicker(m.cfg.MergeInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case b := <-m.merge:
-			m.mergeBatch(b)
 		case <-m.extractNow:
 			m.extractTick()
 		case <-ticker.C:
 			m.extractTick()
 		case <-m.done:
 			// The readers and decode workers are gone (Close waits on them
-			// before closing done), so the merge channel can only shrink:
-			// drain it, then flush everything still buffered.
-			for {
-				select {
-				case b := <-m.merge:
-					m.sorterMu.Lock()
-					m.pushBatch(b, m.clock.NowMicros())
-					m.sorterMu.Unlock()
-					continue
-				default:
-				}
-				break
-			}
+			// before closing done), so nothing pushes any more: flush
+			// everything still buffered.
 			now := m.clock.NowMicros()
 			m.sorterMu.Lock()
 			m.emitNow = now
@@ -1395,11 +1383,11 @@ func (m *Manager) mergeLoop() {
 // extractTick is one merger extraction pass: drain every aged record
 // out of the sorter (merged across shards), tick the matcher, harvest
 // losses, and flush the sinks. With one shard it runs on the merge
-// interval; with several it also runs whenever a decode worker signals
-// a built-up backlog.
+// interval (and moves only what aged without a push); with several it
+// also runs whenever a decode worker signals a built-up backlog.
 func (m *Manager) extractTick() {
-	now := m.clock.NowMicros()
 	m.sorterMu.Lock()
+	now := m.clock.NowMicros()
 	m.emitNow = now
 	m.windowT.Observe(m.sorter.TimeFrame())
 	n := m.sorter.Extract(now, m.sinkRecord)
@@ -1417,13 +1405,19 @@ func (m *Manager) extractTick() {
 	}
 }
 
-// mergeBatch pushes one decoded batch through the sorter and flushes the
-// emitted records to the sinks as a unit — one clock read, one buffer lock
-// per merge event instead of per record.
-func (m *Manager) mergeBatch(b srcBatch) {
-	now := m.clock.NowMicros()
+// mergeBatch is a single-shard merge event, run by the decode worker
+// that scanned the batch: push it through the sorter and flush what
+// emerges to the sinks as a unit — one clock read, one buffer lock per
+// batch instead of per record. All of it holds sorterMu, because the
+// records Extract emits borrow the shard's slabs until flushSinks has
+// written them, and a push meanwhile could overwrite those bytes. The
+// clock is read inside the lock, so the sorter sees manager time advance
+// monotonically from one merge event to the next, whichever goroutine
+// runs it.
+func (m *Manager) mergeBatch(s *session, pb pending, bp *[]record.Record) {
 	m.sorterMu.Lock()
-	m.pushBatch(b, now)
+	now := m.clock.NowMicros()
+	m.pushBatch(s, pb, bp, now)
 	m.emitNow = now
 	m.sorter.Extract(now, m.sinkRecord)
 	m.harvestLosses()
@@ -1444,8 +1438,9 @@ func (m *Manager) sinkRecord(rec record.Record) {
 
 // collect accumulates one fully-processed record for the next sink flush.
 // The record still borrows sorter slab or merge staging bytes; they stay
-// valid because nothing is pushed into a single-shard sorter, and no new
-// merge pass staged, before flushSinks runs.
+// valid because nothing is pushed into a single-shard sorter (every push
+// there holds sorterMu), and no new merge pass staged, before flushSinks
+// runs.
 func (m *Manager) collect(rec record.Record) {
 	m.out = append(m.out, rec)
 	if len(m.out) >= sinkBatchRecords {
@@ -1799,9 +1794,9 @@ func (m *Manager) Stats() Stats {
 
 // Close shuts the manager down in pipeline order: stop accepting, sever
 // the sensors and wait for their readers, retire the decode workers (they
-// drain their queues first), then close done so the merger drains the
-// merge channel and flushes the sorter and sinks. Every batch that was
-// acked before Close is delivered.
+// drain their queues first, merging as they go), then close done so the
+// merger flushes the sorter and sinks. Every batch that was acked before
+// Close is delivered.
 func (m *Manager) Close() error {
 	if m.closed.Swap(true) {
 		return nil

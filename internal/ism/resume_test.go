@@ -1,6 +1,7 @@
 package ism
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -272,4 +273,57 @@ func TestHeartbeatReapsSilentPeer(t *testing.T) {
 		st := m.Stats()
 		return st.Connected == 0 && st.DeadPeers >= 1
 	})
+}
+
+// TestResumeOverlapAcceptsBatchOnce: a reader evicted by a resume can
+// still be inside acceptBatch, blocked on a full decode queue with a
+// batch it has not yet recorded in lastSeq. The resumed sender replays
+// that batch on the new connection. Exactly one of the two copies may
+// reach the decode worker; the other must be deduped.
+func TestResumeOverlapAcceptsBatchOnce(t *testing.T) {
+	m := newManager(t, Config{})
+	sess := &session{id: 1, node: 1, lastSeq: 4,
+		work: make(chan pending, 1), free: make(chan []byte, 2), quit: make(chan struct{})}
+	sess.work <- pending{} // the worker is behind: the queue is full
+	link := func() *wire.Conn {
+		a, b := net.Pipe()
+		t.Cleanup(func() { a.Close(); b.Close() })
+		go io.Copy(io.Discard, b) // the sender reading its acks
+		return wire.NewConn(a)
+	}
+	accepted := make(chan bool, 2)
+	accept := func(wc *wire.Conn) {
+		payload := []byte{1}
+		accepted <- m.acceptBatch(wc, sess, 5, 1, &payload, false)
+	}
+	go accept(link()) // the old connection's reader
+	waitUntil(t, 5*time.Second, "old reader blocked on the queue", func() bool { return m.queueStalls.Value() == 1 })
+	go accept(link()) // the resumed connection's reader, same batch replayed
+	time.Sleep(20 * time.Millisecond)
+
+	<-sess.work // the worker takes the filler
+	queued, returned := 0, 0
+	for returned < 2 {
+		select {
+		case <-sess.work:
+			queued++
+		case ok := <-accepted:
+			if !ok {
+				t.Fatal("acceptBatch dropped a live connection")
+			}
+			returned++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("readers stuck: %d returned, %d batches queued", returned, queued)
+		}
+	}
+	for len(sess.work) > 0 {
+		<-sess.work
+		queued++
+	}
+	if queued != 1 {
+		t.Fatalf("batch 5 reached the decode worker %d times, want once", queued)
+	}
+	if sess.lastSeq != 5 {
+		t.Fatalf("lastSeq = %d, want 5", sess.lastSeq)
+	}
 }

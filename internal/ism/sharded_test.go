@@ -1,6 +1,7 @@
 package ism
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -98,51 +99,56 @@ func TestShardBoundaryCREMatch(t *testing.T) {
 }
 
 // TestShardedCloseDrainsEverything: the ordered shutdown (readers →
-// decode workers → merger flush) must deliver every acked record with
-// shards > 1, where decode workers push into shards directly instead of
-// through the merge channel.
+// decode workers → merger flush) must deliver every acked record. With
+// one shard the decode workers run their merge events themselves, so
+// drainWork merges what is still queued; with several they push into
+// the shards and the merger's final flush extracts it.
 func TestShardedCloseDrainsEverything(t *testing.T) {
-	// Huge T: nothing ages out before Close's flush.
-	m := newManager(t, Config{OLSShards: 4, Sorter: ols.Config{InitialT: 60_000_000}})
-	const nodes = 5
-	const perNode = 200
-	for i := 0; i < nodes; i++ {
-		_, region := newNode(t, m, "n", nil)
-		s := sensor.New(region, "app", sensor.Options{})
-		for j := 0; j < perNode; j++ {
-			if !s.Notice6i(9, int32(j), 0, 0, 0, 0, 0) {
-				t.Fatal("ring overflow")
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// Huge T: nothing ages out before Close's flush.
+			m := newManager(t, Config{OLSShards: shards, Sorter: ols.Config{InitialT: 60_000_000}})
+			const nodes = 5
+			const perNode = 200
+			for i := 0; i < nodes; i++ {
+				_, region := newNode(t, m, "n", nil)
+				s := sensor.New(region, "app", sensor.Options{})
+				for j := 0; j < perNode; j++ {
+					if !s.Notice6i(9, int32(j), 0, 0, 0, 0, 0) {
+						t.Fatal("ring overflow")
+					}
+				}
+				// Wait until the manager has accepted this node's records
+				// before closing (accepted ⇒ must survive shutdown).
+				deadline := time.Now().Add(10 * time.Second)
+				for m.Stats().Received < uint64((i+1)*perNode) {
+					if time.Now().After(deadline) {
+						t.Fatalf("node %d never drained: %+v", i, m.Stats())
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
-		}
-		// Wait until the manager has accepted this node's records before
-		// closing (accepted ⇒ must survive shutdown).
-		deadline := time.Now().Add(10 * time.Second)
-		for m.Stats().Received < uint64((i+1)*perNode) {
-			if time.Now().After(deadline) {
-				t.Fatalf("node %d never drained: %+v", i, m.Stats())
+			cur := m.NewCursor()
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cur := m.NewCursor()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		raw, lost, ok := cur.TryNext()
-		if lost > 0 {
-			t.Fatalf("consumer lost %d records", lost)
-		}
-		if !ok {
-			break
-		}
-		if _, err := DecodeBuffered(raw); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != nodes*perNode {
-		t.Fatalf("drained %d records after Close, want %d (stats %+v)", n, nodes*perNode, m.Stats())
+			n := 0
+			for {
+				raw, lost, ok := cur.TryNext()
+				if lost > 0 {
+					t.Fatalf("consumer lost %d records", lost)
+				}
+				if !ok {
+					break
+				}
+				if _, err := DecodeBuffered(raw); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			if n != nodes*perNode {
+				t.Fatalf("drained %d records after Close, want %d (stats %+v)", n, nodes*perNode, m.Stats())
+			}
+		})
 	}
 }

@@ -190,7 +190,7 @@ type Stats struct {
 }
 
 // Sorter merges per-source record streams into timestamp order. Not safe
-// for concurrent use; the ISM's single merger goroutine owns it.
+// for concurrent use; the ISM calls it under one pipeline lock.
 type Sorter struct {
 	cfg      Config
 	t        float64 // current time frame, µs

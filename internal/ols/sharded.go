@@ -22,7 +22,7 @@ import (
 // Concurrency contract: Push and PushBatch are safe to call from any
 // number of goroutines (distinct sources contend only when they hash to
 // the same shard). Extract, Flush, TakeLosses and DropsBySource must be
-// called from a single merger goroutine. The read-only accessors
+// called by one goroutine at a time. The read-only accessors
 // (Buffered, Stats, TimeFrame, shard views) are safe from anywhere.
 //
 // With n == 1 every call delegates straight to the inner Sorter — same

@@ -85,7 +85,7 @@ func appendEach(dst []Record, payload []byte, prefixed bool, parse func(*Record,
 }
 
 // batchPool recycles record-batch slices between the manager's parallel
-// decode workers and its single merge goroutine.
+// decode workers and the goroutine that pushes each batch.
 var batchPool = sync.Pool{
 	New: func() any {
 		b := make([]Record, 0, 256)

@@ -324,8 +324,8 @@ func (r *Relay) Clock() *vclock.Corrected { return r.clock }
 // forward is the downstream manager's Forward tap: it encodes one
 // emitted record as a node-prefixed entry into the batch under
 // assembly, rebasing the origin id and patching the timestamp into the
-// parent frame. Runs on the downstream merger with its pipeline lock
-// held, so it only appends — sealing copies the batch into the sender's
+// parent frame. Runs with the downstream manager's pipeline lock held,
+// so it only appends — sealing copies the batch into the sender's
 // queue but never touches the network.
 func (r *Relay) forward(rec *record.Record) {
 	node := rec.Node + r.cfg.NodeBase

@@ -87,7 +87,7 @@ type Engine struct {
 	cache *cache
 	fr    *freq
 
-	// Publisher-owned state (the merger goroutine): the global emission
+	// Publisher-owned state (the manager's pipeline lock): the global emission
 	// sequence and the dirty masks accumulated between sink flushes.
 	pubSeq      uint64
 	dirtyShards uint64
@@ -176,8 +176,8 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 }
 
 // Publish appends one sink-accepted record to the hot window and the
-// frequency sketch. It is the ism.Config.Tap hot path: called on the
-// merger goroutine for every emitted record with the node-prefixed
+// frequency sketch. It is the ism.Config.Tap hot path: called under the
+// manager's pipeline lock for every emitted record with the node-prefixed
 // encoding the memory-buffer sink produced (borrowed — copied here) and
 // the flush's manager-clock instant. It never blocks on subscribers and
 // allocates nothing in steady state.
@@ -198,7 +198,7 @@ func (e *Engine) Publish(rec *record.Record, encoded []byte, now int64) {
 
 // EndFlush wakes the subscribers whose filters can match something in
 // the records published since the last flush. Called once per sink
-// flush on the merger goroutine, so fan-out cost is per flush, not per
+// flush under the manager's pipeline lock, so fan-out cost is per flush, not per
 // record — and the shard/event masks suppress wake-ups entirely for
 // subscribers that cannot match, which is what keeps thousands of idle
 // subscribers nearly free on the ingest path.

@@ -6,6 +6,7 @@ import (
 
 	"brisk/internal/exs"
 	"brisk/internal/ism"
+	"brisk/internal/record"
 	"brisk/internal/sensor"
 	"brisk/internal/shm"
 	"brisk/internal/vclock"
@@ -147,13 +148,23 @@ func (n *Node) Metrics() *Metrics { return n.ext.Metrics() }
 func (n *Node) Close() error { return n.ext.Close() }
 
 // Consumer iterates the manager's sorted output stream.
+//
+// Every record it returns owns its Fields: a later Next or TryNext never
+// writes them, and appending to them reallocates. The consumer cuts them
+// out of 512-value (16 KiB) chunks it allocates as it goes and never
+// reuses, so a record kept alive keeps at most its whole chunk alive.
 type Consumer struct {
-	cur *shm.Cursor
-	raw []byte // the entry being decoded, recycled across reads
+	cur   *shm.Cursor
+	raw   []byte         // the entry being decoded, recycled across reads
+	chunk []record.Value // the unused tail of the current Fields chunk
 	// Lost accumulates records skipped because this consumer fell behind
 	// the memory buffer (the manager's event dropping for slow readers).
 	Lost uint64
 }
+
+// consumerChunk is the number of field values a Consumer allocates at a
+// time: 16 KiB, under the runtime's small-object size limit.
+const consumerChunk = 512
 
 // Next blocks for the next record; ok is false once the manager has
 // closed and the stream is drained.
@@ -165,6 +176,7 @@ func (c *Consumer) TryNext() (Record, bool) { return c.next(c.cur.TryNextInto) }
 
 // next reads entries into the consumer's own buffer until one decodes
 // (the decoded record copies what it keeps, so the buffer is free again).
+// The record's fields land in the chunk's tail, which then gives them up.
 func (c *Consumer) next(read func([]byte) ([]byte, uint64, bool)) (rec Record, ok bool) {
 	for {
 		raw, lost, ok := read(c.raw)
@@ -173,10 +185,17 @@ func (c *Consumer) next(read func([]byte) ([]byte, uint64, bool)) (rec Record, o
 			return Record{}, false
 		}
 		c.raw = raw
+		if len(c.chunk) < record.MaxFields {
+			c.chunk = make([]record.Value, consumerChunk)
+		}
+		rec.Fields = c.chunk[:0]
 		if ism.DecodeBufferedInto(&rec, raw) != nil {
 			rec = Record{}
 			continue // skip corrupt entry rather than wedge the consumer
 		}
+		n := len(rec.Fields)
+		rec.Fields = c.chunk[:n:n]
+		c.chunk = c.chunk[n:]
 		return rec, true
 	}
 }
