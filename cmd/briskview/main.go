@@ -11,7 +11,9 @@
 // Usage:
 //
 //	briskview -addr 127.0.0.1:7500
-//	ism -visual 127.0.0.1:7500 -visual-object rate
+//	ism -visual 127.0.0.1:7500    # attaches the view object
+//
+// A program attaches the rate object through Manager.AttachVisual.
 package main
 
 import (

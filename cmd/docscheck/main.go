@@ -15,12 +15,18 @@
 // `Sync.` or `SensorOptions.` prefix) must name a field that struct
 // has, so a deleted knob cannot linger in the tuning guide.
 //
+// It also checks every daemon invocation the core documents and the
+// verify skill write down — `cmd/ism -T 2000` in a code block, a
+// built `bin/exs -rate 0`, TUNING's `cmd/relay -batch/-flush` —
+// against the flag.X("name", …) calls in that daemon's source, so a
+// deleted flag cannot linger in a documented run.
+//
 // Usage:
 //
 //	docscheck [root]
 //
-// Exits non-zero listing every broken link and stale option row. Run
-// via `make docs-check`.
+// Exits non-zero listing every broken link, stale option row and
+// undefined flag. Run via `make docs-check`.
 package main
 
 import (
@@ -32,7 +38,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // linkRE matches inline Markdown links, capturing the target. Images
@@ -64,6 +73,18 @@ var optionStructs = map[string]bool{
 var optionPrefixes = map[string]string{
 	"Sorter.": "SorterOptions", "Sync.": "SyncOptions", "SensorOptions.": "SensorOptions",
 }
+
+// daemons are the commands whose documented invocations are checked
+// against their flag definitions.
+var daemons = map[string]bool{"ism": true, "exs": true, "relay": true}
+
+// flagDocs are the documents, besides requiredDocs, whose daemon
+// invocations are checked.
+var flagDocs = []string{".claude/skills/verify/SKILL.md"}
+
+// segmentRE splits a line where a command's arguments end: a code-span
+// edge, a table cell, a shell separator or a comment.
+var segmentRE = regexp.MustCompile("`|\\||;|&&|(?:^|\\s)#")
 
 // codeRE matches one backticked code span, capturing its text.
 var codeRE = regexp.MustCompile("`([^`]+)`")
@@ -105,14 +126,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(1)
 	}
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "docscheck: %s\n", s)
-	}
-	if broken > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), %d stale option row(s)\n", broken, len(stale))
+	undefined, err := checkFlagMentions(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all Markdown links resolve and every option row names a field")
+	for _, s := range append(stale, undefined...) {
+		fmt.Fprintf(os.Stderr, "docscheck: %s\n", s)
+	}
+	if broken > 0 || len(stale) > 0 || len(undefined) > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), %d stale option row(s), %d undefined flag(s)\n",
+			broken, len(stale), len(undefined))
+		os.Exit(1)
+	}
+	fmt.Println("docscheck: all Markdown links resolve, every option row names a field and every documented flag exists")
 }
 
 // checkFile verifies every relative link in one Markdown file, printing
@@ -248,4 +275,122 @@ func structFields(dir string) (map[string]map[string]bool, error) {
 		})
 	}
 	return structs, nil
+}
+
+// checkFlagMentions returns one message per flag that a documented
+// daemon invocation passes but the daemon does not define. A line
+// ending in a backslash continues on the next.
+func checkFlagMentions(root string) ([]string, error) {
+	defined, err := daemonFlags(root)
+	if err != nil {
+		return nil, err
+	}
+	var undefined []string
+	for _, doc := range slices.Concat(requiredDocs, flagDocs) {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if os.IsNotExist(err) {
+			continue // a missing required document is reported on its own
+		} else if err != nil {
+			return nil, err
+		}
+		lines := strings.Split(string(data), "\n")
+		for i := 0; i < len(lines); i++ {
+			at, line := i+1, lines[i]
+			for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+				i++
+				line = line[:len(line)-1] + " " + lines[i]
+			}
+			for _, m := range invocationFlags(line) {
+				if !defined[m[0]][m[1]] {
+					undefined = append(undefined, fmt.Sprintf("%s:%d: cmd/%s has no flag -%s", doc, at, m[0], m[1]))
+				}
+			}
+		}
+	}
+	return undefined, nil
+}
+
+// invocationFlags returns a {daemon, flag} pair for each flag written
+// after a daemon invocation on one line. An invocation is `cmd/<daemon>`
+// or a built binary's path ending in `/<daemon>` (but not a package
+// path `internal/<daemon>`); its arguments run to the end of the
+// segment. A flag joined to the next by a slash (`-batch/-flush`)
+// counts as two; a value that looks like a flag (`-skew -20ms`) starts
+// with a digit and is skipped.
+func invocationFlags(line string) [][2]string {
+	var out [][2]string
+	for _, seg := range segmentRE.Split(line, -1) {
+		tool := ""
+		for _, tok := range strings.Fields(seg) {
+			tok = strings.Trim(tok, "(),.:")
+			if i := strings.LastIndexByte(tok, '/'); i >= 0 && daemons[tok[i+1:]] &&
+				!strings.HasSuffix(tok[:i], "internal") {
+				tool = tok[i+1:]
+				continue
+			}
+			if tool == "" {
+				continue
+			}
+			for _, part := range strings.Split(tok, "/") {
+				name, ok := strings.CutPrefix(part, "-")
+				name = strings.TrimPrefix(name, "-")
+				name, _, _ = strings.Cut(name, "=")
+				if ok && name != "" && unicode.IsLetter(rune(name[0])) {
+					out = append(out, [2]string{tool, name})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// daemonFlags parses the non-test Go files of each daemon's command
+// directory and returns the flag names its flag.X("name", …) and
+// flag.XVar(&v, "name", …) calls define.
+func daemonFlags(root string) (map[string]map[string]bool, error) {
+	fset := token.NewFileSet()
+	defined := make(map[string]map[string]bool)
+	for tool := range daemons {
+		paths, err := filepath.Glob(filepath.Join(root, "cmd", tool, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		names := make(map[string]bool)
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1
+				}
+				if len(call.Args) > arg {
+					if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil {
+							names[name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		defined[tool] = names
+	}
+	return defined, nil
 }

@@ -53,3 +53,65 @@ func TestRepoOptionTables(t *testing.T) {
 		t.Fatalf("TUNING.md names knobs the code no longer has:\n%s", strings.Join(stale, "\n"))
 	}
 }
+
+// fixtureISM defines two flags, one through each flag.X form.
+const fixtureISM = `package main
+
+import "flag"
+
+var (
+	addr = flag.String("addr", "", "listen address")
+	t    int64
+)
+
+func init() { flag.Int64Var(&t, "T", 1000, "time frame") }
+`
+
+// fixtureReadme invokes the daemon from a code block (with a comment, a
+// continuation line and a shell separator), from a built binary's path,
+// and from a table cell, and names a package path that is no command.
+const fixtureReadme = "```bash\n" +
+	"go run ./cmd/ism -addr :7411 -T 2000   # -comment is not a flag\n" +
+	"go run ./cmd/ism -addr :7411 \\\n  -merge 5ms && echo -n done\n" +
+	"bin/ism --addr=:7411 -stats-http :7412\n" +
+	"```\n" +
+	"| `T` | `cmd/ism -T/-halflife` | pair |\n" +
+	"Run `internal/ism -bogus` tests; `cmd/exs -rate 5` has no source here.\n"
+
+func TestCheckFlagMentions(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{"cmd/ism/main.go": fixtureISM, "README.md": fixtureReadme}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	undefined, err := checkFlagMentions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:3: cmd/ism has no flag -merge",
+		"README.md:5: cmd/ism has no flag -stats-http",
+		"README.md:7: cmd/ism has no flag -halflife",
+		"README.md:8: cmd/exs has no flag -rate",
+	}
+	if strings.Join(undefined, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("undefined flags:\n%s\nwant:\n%s", strings.Join(undefined, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRepoFlagMentions runs the flag check on the repository itself.
+func TestRepoFlagMentions(t *testing.T) {
+	undefined, err := checkFlagMentions(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(undefined) > 0 {
+		t.Fatalf("documented runs pass flags the daemons no longer define:\n%s", strings.Join(undefined, "\n"))
+	}
+}

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	exs -manager 127.0.0.1:7411 -name node1 -rate 10000 -count 100000
-//	exs -manager 127.0.0.1:7411 -skew -50ms -drift 20    # simulated bad clock
+//	exs -manager 127.0.0.1:7411 -skew -50ms    # simulated skewed clock
 package main
 
 import (
@@ -19,9 +19,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
-	"time"
 
 	"brisk"
 	"brisk/internal/vclock"
@@ -30,39 +28,26 @@ import (
 
 func main() {
 	var (
-		manager = flag.String("manager", "127.0.0.1:7411", "manager TCP address")
-		name    = flag.String("name", hostnameOr("node"), "node name")
-		rate    = flag.Int("rate", 1000, "events per second per sensor (0 = unpaced)")
-		count   = flag.Int("count", 0, "events per sensor (0 = run until SIGINT)")
-		sensors = flag.Int("sensors", 1, "number of instrumented application goroutines")
-		skew    = flag.Duration("skew", 0, "initial clock offset (simulated, e.g. -50ms)")
-		drift   = flag.Float64("drift", 0, "clock frequency error in ppm (simulated)")
-		flush   = flag.Duration("flush", 5*time.Millisecond, "batch flush interval")
-		batch   = flag.Int("batch", 16384, "batch size in bytes")
-
-		reconnectBase = flag.Duration("reconnect-base", 0, "first reconnect backoff delay (0 = default 50ms)")
-		reconnectMax  = flag.Duration("reconnect-max", 0, "reconnect backoff cap (0 = default 5s)")
-		reconnectCap  = flag.Int("reconnect-attempts", -1, "failed reconnect attempts before giving up (-1 = retry forever)")
-		spill         = flag.Int("spill", 0, "bytes of unacknowledged records buffered across outages (0 = default 4MiB)")
-		obsAddr       = flag.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address")
-		traceEvery    = flag.Int("trace-sample", 0, "pipeline trace sampling period (0 = default 64, <0 disables)")
+		manager      = flag.String("manager", "127.0.0.1:7411", "manager TCP address")
+		name         = flag.String("name", hostnameOr("node"), "node name")
+		rate         = flag.Int("rate", 1000, "events per second (0 = unpaced)")
+		count        = flag.Int("count", 0, "events to send (0 = run until SIGINT)")
+		skew         = flag.Duration("skew", 0, "initial clock offset (simulated, e.g. -50ms)")
+		reconnectCap = flag.Int("reconnect-attempts", -1, "failed reconnect attempts before giving up (-1 = retry forever)")
+		obsAddr      = flag.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address")
+		traceEvery   = flag.Int("trace-sample", 0, "pipeline trace sampling period (0 = default 64, <0 disables)")
 	)
 	flag.Parse()
 
 	var raw brisk.Clock = vclock.System{}
-	if *skew != 0 || *drift != 0 {
-		raw = vclock.NewDrift(vclock.System{}, skew.Microseconds(), *drift)
+	if *skew != 0 {
+		raw = vclock.NewDrift(vclock.System{}, skew.Microseconds(), 0)
 	}
 	node, err := brisk.ConnectNode(brisk.NodeOptions{
 		ManagerAddr:          *manager,
 		Name:                 *name,
 		RawClock:             raw,
-		BatchBytes:           *batch,
-		FlushInterval:        *flush,
-		ReconnectBase:        *reconnectBase,
-		ReconnectMax:         *reconnectMax,
 		MaxReconnectAttempts: *reconnectCap,
-		SpillBytes:           *spill,
 		TraceSampleEvery:     *traceEvery,
 	})
 	if err != nil {
@@ -82,47 +67,37 @@ func main() {
 	}
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < *sensors; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := node.NewSensor(fmt.Sprintf("app-%d", i))
-			l := &workload.Looper{Sensor: s, Event: uint8(1 + i%200), Rate: *rate}
-			if *count > 0 {
-				l.Run(*count)
-				return
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					l.Run(1000)
-				}
-			}
-		}(i)
-	}
-
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
-		close(done)
+		defer close(done)
+		l := &workload.Looper{Sensor: node.NewSensor("app-0"), Event: 1, Rate: *rate}
+		if *count > 0 {
+			l.Run(*count)
+			return
+		}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				l.Run(1000)
+			}
+		}
 	}()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case <-sig:
 		close(stop)
-		wg.Wait()
+		<-done
 	case <-done:
 	}
-	node.Flush()
-	time.Sleep(50 * time.Millisecond) // let the final batch ship
-	st := node.Stats()
+	// Close ships the final batch and waits for its acknowledgement, so
+	// the counters read after it are final.
 	if err := node.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "exs: close: %v\n", err)
 	}
+	st := node.Stats()
 	fmt.Printf("exs: sent=%d batches=%d bytes=%d ringDropped=%d probes=%d correction=%dµs\n",
 		st.Sent, st.Batches, st.BytesOut, st.RingDropped, st.Probes, st.Correction)
 	if st.Reconnects > 0 || st.Dropped > 0 || st.LostOffline > 0 {

@@ -164,6 +164,7 @@ func TestFederatedMultiProcessSession(t *testing.T) {
 	bin := buildAll(t)
 	rootAddr := freePort(t)
 	relayAddr := freePort(t)
+	relayObs := freePort(t)
 	trace := filepath.Join(t.TempDir(), "federated.picl")
 
 	// The relay tier parks records for up to its own time frame before
@@ -187,7 +188,7 @@ func TestFederatedMultiProcessSession(t *testing.T) {
 
 	relay := exec.Command(filepath.Join(bin, "relay"),
 		"-addr", relayAddr, "-parent", rootAddr, "-name", "region-a",
-		"-node-base", "100", "-sync", "100ms", "-T", "2000")
+		"-node-base", "100", "-sync", "100ms", "-T", "2000", "-obs", relayObs)
 	var relayOut strings.Builder
 	relay.Stdout = &relayOut
 	relay.Stderr = &relayOut
@@ -226,6 +227,9 @@ func TestFederatedMultiProcessSession(t *testing.T) {
 	if err := b.Wait(); err != nil {
 		t.Fatalf("exs b: %v", err)
 	}
+
+	// The relay serves its Stats() as JSON on its -obs server.
+	waitStats(t, relayObs, "Forwarded", 600)
 
 	// Tier-ordered shutdown: the relay's SIGINT flushes its sorter through
 	// the uplink and drains acks, then the root's SIGINT flushes the trace.
@@ -345,16 +349,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestISMStatsHTTP checks the operational JSON statistics endpoint.
+// TestISMStatsHTTP checks the operational JSON statistics endpoint,
+// /stats on the -obs server.
 func TestISMStatsHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
 	}
 	bin := buildAll(t)
 	addr := freePort(t)
-	statsAddr := freePort(t)
+	obsAddr := freePort(t)
 	ism := exec.Command(filepath.Join(bin, "ism"),
-		"-addr", addr, "-sync", "0", "-stats-http", statsAddr)
+		"-addr", addr, "-sync", "0", "-obs", obsAddr)
 	if err := ism.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -363,17 +368,24 @@ func TestISMStatsHTTP(t *testing.T) {
 		ism.Wait()
 	}()
 	waitListening(t, addr)
-	waitListening(t, statsAddr)
+	waitListening(t, obsAddr)
 
 	exs := exec.Command(filepath.Join(bin, "exs"),
 		"-manager", addr, "-rate", "0", "-count", "50")
 	if out, err := exs.CombinedOutput(); err != nil {
 		t.Fatalf("exs: %v\n%s", err, out)
 	}
+	waitStats(t, obsAddr, "Received", 50)
+}
 
+// waitStats polls http://addr/stats until the JSON counter key reads
+// want, failing the test after 10 s.
+func waitStats(t *testing.T, addr, key string, want float64) {
+	t.Helper()
+	var last any
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + statsAddr + "/stats")
+		resp, err := http.Get("http://" + addr + "/stats")
 		if err != nil {
 			time.Sleep(50 * time.Millisecond)
 			continue
@@ -384,12 +396,12 @@ func TestISMStatsHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if recv, ok := st["Received"].(float64); ok && recv == 50 {
+		if last = st[key]; last == want {
 			return
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatal("stats endpoint never reported the received records")
+	t.Fatalf("/stats on %s: %s = %v, want %v", addr, key, last, want)
 }
 
 // TestISMObservabilityHTTP drives a real ism process with -obs and checks

@@ -12,17 +12,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"brisk"
+	"brisk/internal/metrics"
 )
 
 func main() {
@@ -31,49 +29,28 @@ func main() {
 		syncPeriod = flag.Duration("sync", 5*time.Second, "clock-sync polling period (0 disables)")
 		syncBound  = flag.Int64("sync-uncertainty", 0, "model-based probe scheduling: probe a slave only when its predicted offset uncertainty (µs) crosses this bound (0 = fixed cadence)")
 		initialT   = flag.Int64("T", 1000, "initial sorter time frame (µs)")
-		halfLife   = flag.Int64("halflife", 0, "time-frame decay half-life (µs, 0=no decay)")
 		policy     = flag.String("grow", "lateness", "time-frame growth policy: lateness|double|fixed")
-		merge      = flag.Duration("merge", 5*time.Millisecond, "merger wake interval")
 		piclPath   = flag.String("picl", "", "write a PICL ASCII trace to this file")
-		piclRel    = flag.Bool("picl-relative", false, "PICL timestamps as seconds since start")
-		visAddr    = flag.String("visual", "", "attach a remote visual object at host:port")
-		visName    = flag.String("visual-object", "view", "remote visual object name")
+		visAddr    = flag.String("visual", "", "attach the remote visual object \"view\" at host:port")
 		print      = flag.Bool("print", false, "echo the sorted stream to stdout")
 		statsEvery = flag.Duration("stats", 0, "periodically print statistics (0 disables)")
-		statsHTTP  = flag.String("stats-http", "", "serve statistics as JSON on this address")
-		obsAddr    = flag.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address")
+		obsAddr    = flag.String("obs", "", "serve /metrics, /stats, /healthz and /debug/pprof on this address")
 		subOn      = flag.Bool("subscribe", false, "enable the subscription engine; /subscribe, /query and /topk mount on the -obs server")
-		subWindow  = flag.Int("subscribe-window", 0, "subscription hot-window byte budget (0 = default 8 MiB)")
 		traceEvery = flag.Int("trace-sample", 0, "pipeline trace sampling period (0 = default 64, <0 disables)")
-		heartbeat  = flag.Duration("heartbeat", 0, "per-sensor PING period for dead-peer detection (0 = default 1s, <0 disables)")
-		retention  = flag.Duration("session-retention", 0, "how long a disconnected sensor's session is resumable (0 = default 2m, <0 disables)")
 		maxBuf     = flag.Int("maxbuffered", 0, "sorter record bound, arms credit flow control (0 = unbounded)")
-		srcQuota   = flag.Int("source-quota", 0, "per-source buffered-record cap (0 disables)")
-		ackHigh    = flag.Int("ack-high", 0, "ack-gate close threshold (0 = ¾ of maxbuffered, <0 disables gating)")
-		ackLow     = flag.Int("ack-low", 0, "ack-gate reopen threshold (0 = half of ack-high)")
 		olsShards  = flag.Int("ols-shards", 0, "parallel sorter shards (0 or 1 = single sorter, -1 = one per CPU)")
 	)
 	flag.Parse()
 
 	opts := brisk.ManagerOptions{
-		Addr:          *addr,
-		MergeInterval: *merge,
-		Sorter: brisk.SorterOptions{
-			InitialT:    *initialT,
-			HalfLife:    *halfLife,
-			MaxBuffered: *maxBuf,
-			SourceQuota: *srcQuota,
-		},
-		Sync:              brisk.SyncOptions{Period: *syncPeriod, UncertaintyBound: *syncBound},
-		HeartbeatInterval: *heartbeat,
-		SessionRetention:  *retention,
-		TraceSampleEvery:  *traceEvery,
-		AckHighWater:      *ackHigh,
-		AckLowWater:       *ackLow,
-		OLSShards:         *olsShards,
+		Addr:             *addr,
+		Sorter:           brisk.SorterOptions{InitialT: *initialT, MaxBuffered: *maxBuf},
+		Sync:             brisk.SyncOptions{Period: *syncPeriod, UncertaintyBound: *syncBound},
+		TraceSampleEvery: *traceEvery,
+		OLSShards:        *olsShards,
 	}
 	if *subOn {
-		opts.Subscribe = &brisk.SubscribeOptions{WindowBytes: *subWindow}
+		opts.Subscribe = &brisk.SubscribeOptions{}
 	}
 	switch *policy {
 	case "lateness":
@@ -93,11 +70,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		opts.PICL = &brisk.PICLOptions{
-			W:        f,
-			Relative: *piclRel,
-			Start:    time.Now().UnixMicro(),
-		}
+		opts.PICL = &brisk.PICLOptions{W: f}
 	}
 
 	mgr, err := brisk.StartManager(opts)
@@ -108,11 +81,11 @@ func main() {
 	fmt.Printf("ism: listening on %s\n", mgr.Addr())
 
 	if *visAddr != "" {
-		if err := mgr.AttachVisual(*visAddr, *visName, 4096); err != nil {
+		if err := mgr.AttachVisual(*visAddr, "view", 4096); err != nil {
 			fmt.Fprintf(os.Stderr, "ism: visual: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("ism: dispatching to visual object %q at %s\n", *visName, *visAddr)
+		fmt.Printf("ism: dispatching to visual object \"view\" at %s\n", *visAddr)
 	}
 
 	if *print {
@@ -134,30 +107,12 @@ func main() {
 			os.Exit(1)
 		}
 		defer obs.Close()
+		obs.Handle("/stats", metrics.StatsHandler(func() any { return mgr.Stats() }))
 		fmt.Printf("ism: metrics at http://%s/metrics\n", obs.Addr())
+		fmt.Printf("ism: statistics at http://%s/stats\n", obs.Addr())
 		if mgr.MountSubscribe(obs) {
 			fmt.Printf("ism: subscribe API at http://%s/subscribe\n", obs.Addr())
 		}
-	}
-	if *statsHTTP != "" {
-		ln, err := net.Listen("tcp", *statsHTTP)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ism: stats-http: %v\n", err)
-			os.Exit(1)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(mgr.Stats()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("ism: statistics at http://%s/stats\n", ln.Addr())
 	}
 	if *statsEvery > 0 {
 		go func() {

@@ -13,11 +13,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -25,9 +22,9 @@ import (
 
 	"brisk"
 	"brisk/internal/ism"
+	"brisk/internal/metrics"
 	"brisk/internal/ols"
 	"brisk/internal/relay"
-	"brisk/internal/vclock"
 )
 
 func main() {
@@ -36,50 +33,33 @@ func main() {
 		parent   = flag.String("parent", "127.0.0.1:7411", "parent manager address the merged stream forwards to")
 		name     = flag.String("name", hostnameOr("relay"), "node name announced upstream")
 		nodeBase = flag.Int("node-base", 0, "added to forwarded origin node ids; give relay i a base of i×(fleet size)")
-		skew     = flag.Duration("skew", 0, "initial clock offset (simulated, e.g. -50ms)")
-		drift    = flag.Float64("drift", 0, "clock frequency error in ppm (simulated)")
 
 		syncPeriod = flag.Duration("sync", 5*time.Second, "child-tier clock-sync polling period (0 disables)")
 		initialT   = flag.Int64("T", 1000, "regional sorter initial time frame (µs); widen the parent's by 2× plus slack")
-		merge      = flag.Duration("merge", 5*time.Millisecond, "regional merger wake interval")
-		maxBuf     = flag.Int("maxbuffered", 0, "regional sorter record bound, arms credit flow control (0 = unbounded)")
-		olsShards  = flag.Int("ols-shards", 0, "regional sorter shards (0 or 1 = single sorter, -1 = one per CPU)")
 
-		batch         = flag.Int("batch", 0, "records per uplink batch (0 = default 256)")
-		flush         = flag.Duration("flush", 0, "partial uplink batch flush interval (0 = default 2ms)")
-		queue         = flag.Int("queue", 0, "bytes of unacknowledged uplink batches buffered across outages (0 = default 4MiB)")
-		reconnectBase = flag.Duration("reconnect-base", 0, "first uplink reconnect backoff delay (0 = default 50ms)")
-		reconnectMax  = flag.Duration("reconnect-max", 0, "uplink reconnect backoff cap (0 = default 5s)")
-		reconnectCap  = flag.Int("reconnect-attempts", -1, "failed uplink reconnects before giving up (-1 = retry forever)")
+		batch = flag.Int("batch", 0, "records per uplink batch (0 = default 256)")
+		flush = flag.Duration("flush", 0, "partial uplink batch flush interval (0 = default 2ms)")
+		queue = flag.Int("queue", 0, "bytes of unacknowledged uplink batches buffered across outages (0 = default 4MiB)")
 
 		statsEvery = flag.Duration("stats", 0, "periodically print statistics (0 disables)")
-		statsHTTP  = flag.String("stats-http", "", "serve statistics as JSON on this address")
-		obsAddr    = flag.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address")
+		obsAddr    = flag.String("obs", "", "serve /metrics, /stats, /healthz and /debug/pprof on this address")
 	)
 	flag.Parse()
 
-	var raw vclock.Clock = vclock.System{}
-	if *skew != 0 || *drift != 0 {
-		raw = vclock.NewDrift(vclock.System{}, skew.Microseconds(), *drift)
-	}
 	rl, err := relay.New(relay.Config{
 		Addr:     *addr,
 		Parent:   *parent,
 		Name:     *name,
 		NodeBase: int32(*nodeBase),
-		Clock:    raw,
 		ISM: ism.Config{
-			SyncPeriod:    *syncPeriod,
-			MergeInterval: *merge,
-			Sorter:        ols.Config{InitialT: *initialT, MaxBuffered: *maxBuf},
-			OLSShards:     *olsShards,
+			SyncPeriod: *syncPeriod,
+			Sorter:     ols.Config{InitialT: *initialT},
 		},
-		BatchRecords:         *batch,
-		FlushInterval:        *flush,
-		QueueBytes:           *queue,
-		ReconnectBase:        *reconnectBase,
-		ReconnectMax:         *reconnectMax,
-		MaxReconnectAttempts: *reconnectCap,
+		BatchRecords:  *batch,
+		FlushInterval: *flush,
+		QueueBytes:    *queue,
+		// A relay rides out any parent outage: it never stops redialing.
+		MaxReconnectAttempts: -1,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "relay: %v\n", err)
@@ -95,27 +75,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer obs.Close()
+		obs.Handle("/stats", metrics.StatsHandler(func() any { return rl.Stats() }))
 		fmt.Printf("relay: metrics at http://%s/metrics\n", obs.Addr())
-	}
-	if *statsHTTP != "" {
-		ln, err := net.Listen("tcp", *statsHTTP)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "relay: stats-http: %v\n", err)
-			os.Exit(1)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rl.Stats()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("relay: statistics at http://%s/stats\n", ln.Addr())
+		fmt.Printf("relay: statistics at http://%s/stats\n", obs.Addr())
 	}
 	if *statsEvery > 0 {
 		go func() {

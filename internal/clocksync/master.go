@@ -373,7 +373,3 @@ func (s *Slave) ProbeTime() int64 { return s.Clock.NowMicros() }
 
 // ApplyAdjust folds a master-issued adjustment into the correction value.
 func (s *Slave) ApplyAdjust(delta int64) { s.Clock.Adjust(delta) }
-
-// ApplyRate folds a master-issued extrapolation rate into the correction
-// layer.
-func (s *Slave) ApplyRate(ppm float64) { s.Clock.SetRatePPM(ppm) }

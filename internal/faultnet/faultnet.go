@@ -106,13 +106,6 @@ func (p *Proxy) Refused() int64 { return p.refused.Load() }
 // that found live links, plus triggered CutAfter budgets).
 func (p *Proxy) Cuts() int64 { return p.cuts.Load() }
 
-// ActiveLinks returns the number of currently relayed connections.
-func (p *Proxy) ActiveLinks() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.links)
-}
-
 // SetAccepting opens (true) or closes (false) the accept window. While
 // closed, new connections are immediately dropped.
 func (p *Proxy) SetAccepting(ok bool) {

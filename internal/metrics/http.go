@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -27,6 +28,19 @@ func Handler(r *Registry) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := r.WritePrometheus(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+}
+
+// StatsHandler returns an http.Handler serving snapshot() as indented
+// JSON — how the daemons mount their Stats() as /stats next to /metrics.
+func StatsHandler(snapshot func() any) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(snapshot()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

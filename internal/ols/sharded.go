@@ -74,9 +74,6 @@ func NewSharded(cfg Config, n int) *Sharded {
 	return sh
 }
 
-// NumShards returns the shard count.
-func (sh *Sharded) NumShards() int { return len(sh.shards) }
-
 func (sh *Sharded) frontier() (int64, int32, bool) {
 	return sh.gLastTS.Load(), sh.gLastSrc.Load(), sh.gEmitted.Load()
 }

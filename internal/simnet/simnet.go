@@ -125,9 +125,6 @@ func (n *Net) OneWay() int64 {
 // (legacy callers model links that never fail).
 func (n *Net) SetDown(down bool) { n.down = down }
 
-// Down reports whether the link is currently severed.
-func (n *Net) Down() bool { return n.down }
-
 // Dropped returns how many messages the severed link has discarded.
 func (n *Net) Dropped() uint64 { return n.dropped }
 

@@ -50,14 +50,11 @@ type SorterOptions struct {
 	HalfLife int64
 	// Policy selects the growth rule.
 	Policy TimeFramePolicy
-	// MaxBuffered bounds records delayed in memory (0 = unbounded).
+	// MaxBuffered bounds records delayed in memory (0 = unbounded). It
+	// also arms credit flow control: the manager stops acknowledging its
+	// sensors once the sorter holds ¾ of the bound and resumes at half
+	// that, granting at most 4096 records per sensor per ack.
 	MaxBuffered int
-	// SourceQuota bounds how many records one source may hold buffered at
-	// once (0 = no per-source bound). With MaxBuffered set, a quota keeps
-	// one misbehaving node from monopolizing the sorter: its excess is
-	// dropped (and represented by a loss marker) while other nodes'
-	// records still flow.
-	SourceQuota int
 	// Core selects the in-window data structure: the default calendar
 	// queue (amortized O(1) per record, falls back to the heap on
 	// pathological skew) or the binary heap baseline. Both emit
@@ -90,11 +87,6 @@ type SyncOptions struct {
 	// uncertainty (µs) crosses this bound. See TUNING.md, "The probe
 	// budget".
 	UncertaintyBound int64
-	// MinProbeInterval and MaxProbeInterval bracket the per-slave probe
-	// gap (µs) under model-based scheduling. Zero values pick the
-	// clocksync defaults.
-	MinProbeInterval int64
-	MaxProbeInterval int64
 }
 
 // PICLOptions configures trace-file output.
@@ -122,7 +114,9 @@ type SubscribeOptions struct {
 }
 
 // ManagerOptions configures StartManager. The zero value listens on an
-// ephemeral localhost port with default tuning.
+// ephemeral localhost port with default tuning. The manager PINGs each
+// sensor every second, disconnects one silent for three intervals, and
+// keeps a disconnected sensor's session resumable for two minutes.
 type ManagerOptions struct {
 	// Addr is the TCP listen address (default "127.0.0.1:0").
 	Addr string
@@ -145,14 +139,6 @@ type ManagerOptions struct {
 	// BufferRecords is the consumer memory-buffer capacity (default
 	// 65536 records).
 	BufferRecords int
-	// HeartbeatInterval is the per-sensor PING period for dead-peer
-	// detection (default 1 s; negative disables). A sensor silent for
-	// three intervals is disconnected.
-	HeartbeatInterval time.Duration
-	// SessionRetention bounds how long a disconnected sensor's session
-	// (node id + dedupe state) is kept for resumption (default 2 min;
-	// negative drops sessions immediately).
-	SessionRetention time.Duration
 	// PICL, when non-nil, enables trace-file output.
 	PICL *PICLOptions
 	// Subscribe, when non-nil, enables the read-side subscription
@@ -172,16 +158,6 @@ type ManagerOptions struct {
 	// (every Nth record's age is measured per stage). 0 means the
 	// default (64); negative disables tracing.
 	TraceSampleEvery int
-	// AckHighWater gates data acknowledgements on sorter admission: when
-	// the sorter holds at least this many records, the manager stops
-	// acknowledging (and granting credit to) its sensors until the
-	// backlog drains to AckLowWater. 0 derives ¾ of Sorter.MaxBuffered
-	// (flow control stays off when that is also 0); negative disables
-	// ack gating explicitly.
-	AckHighWater int
-	// AckLowWater is the reopen threshold of the ack gate (default half
-	// of AckHighWater). Each grant is capped at 4096 records per sensor.
-	AckLowWater int
 }
 
 // FilterEvents returns a Filter passing only the given event classes —
@@ -231,27 +207,20 @@ func StartManager(opts ManagerOptions) (*Manager, error) {
 			HalfLife:    opts.Sorter.HalfLife,
 			Grow:        opts.Sorter.Policy.grow(),
 			MaxBuffered: opts.Sorter.MaxBuffered,
-			SourceQuota: opts.Sorter.SourceQuota,
 			Core:        opts.Sorter.Core,
 		},
 		OLSShards:     opts.OLSShards,
-		AckHighWater:  opts.AckHighWater,
-		AckLowWater:   opts.AckLowWater,
 		MergeInterval: opts.MergeInterval,
 		BufferRecords: opts.BufferRecords,
 		Sync: clocksync.Config{
 			MaxRTT:           opts.Sync.MaxRTT,
 			UncertaintyBound: opts.Sync.UncertaintyBound,
-			MinProbeInterval: opts.Sync.MinProbeInterval,
-			MaxProbeInterval: opts.Sync.MaxProbeInterval,
 		},
-		SyncPeriod:        opts.Sync.Period,
-		HeartbeatInterval: opts.HeartbeatInterval,
-		SessionRetention:  opts.SessionRetention,
-		Filter:            opts.Filter,
-		Logf:              opts.Logf,
-		Metrics:           opts.Metrics,
-		TraceSampleEvery:  opts.TraceSampleEvery,
+		SyncPeriod:       opts.Sync.Period,
+		Filter:           opts.Filter,
+		Logf:             opts.Logf,
+		Metrics:          opts.Metrics,
+		TraceSampleEvery: opts.TraceSampleEvery,
 	}
 	if opts.PICL != nil {
 		mode := picl.TimeUTC

@@ -30,20 +30,14 @@ type NodeOptions struct {
 	// PollInterval is the external sensor's ring-scan period while idle
 	// (default 500 µs).
 	PollInterval time.Duration
-	// ReconnectBase is the first backoff delay after a lost manager
-	// connection; it doubles per failed attempt (default 50 ms).
-	ReconnectBase time.Duration
-	// ReconnectMax caps the exponential backoff (default 5 s); every
-	// delay carries ±20% jitter so a fleet does not redial in lockstep.
-	ReconnectMax time.Duration
 	// MaxReconnectAttempts caps failed reconnect attempts per outage
 	// before the node degrades to drain-and-discard. 0 means the default
-	// cap; negative retries forever.
+	// cap; negative retries forever. Reconnects back off from 50 ms,
+	// doubling per failed attempt up to 5 s, each delay with ±20% jitter
+	// so a fleet does not redial in lockstep. Across an outage the node
+	// keeps up to 4 MiB of unacknowledged records; beyond that the
+	// oldest batches are dropped and counted.
 	MaxReconnectAttempts int
-	// SpillBytes bounds the in-memory buffer of unacknowledged records
-	// kept across outages (default 4 MiB; oldest batches are dropped and
-	// counted beyond it).
-	SpillBytes int
 	// Logf receives diagnostics (default: standard log package).
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, is the registry the node's external sensor
@@ -98,10 +92,7 @@ func ConnectNodeContext(ctx context.Context, opts NodeOptions) (*Node, error) {
 		BatchBytes:           opts.BatchBytes,
 		FlushInterval:        opts.FlushInterval,
 		PollInterval:         opts.PollInterval,
-		ReconnectBase:        opts.ReconnectBase,
-		ReconnectMax:         opts.ReconnectMax,
 		MaxReconnectAttempts: opts.MaxReconnectAttempts,
-		SpillBytes:           opts.SpillBytes,
 		Logf:                 opts.Logf,
 		Metrics:              opts.Metrics,
 		TraceSampleEvery:     opts.TraceSampleEvery,
