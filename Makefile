@@ -57,10 +57,11 @@ test:
 
 # Race-detector pass over the concurrent core: the packages where
 # reconnect, resume, fault injection, sharded sorting, subscription
-# fan-out, rate-extrapolating clocks, the pooled record paths, and the
-# public Manager wrapper and Consumer hammer shared state.
+# fan-out, rate-extrapolating clocks, the pooled record paths, the sinks
+# the merger publishes to while callers attach and close them (visual,
+# picl), and the public Manager wrapper and Consumer hammer shared state.
 test-race:
-	$(GO) test -race . ./internal/exs ./internal/uplink ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock
+	$(GO) test -race . ./internal/exs ./internal/uplink ./internal/ism ./internal/relay ./internal/faultnet ./internal/wire ./internal/metrics ./internal/ols ./internal/cre ./internal/record ./internal/shm ./internal/scenario ./internal/subscribe ./internal/workload ./internal/clocksync ./internal/vclock ./internal/visual ./internal/picl
 
 # Full suite under the race detector (slower).
 race:

@@ -40,14 +40,14 @@ func newFlood(perSession, batchRecords int) flood {
 // floodSink starts the manager every flood benchmark measures delivery
 // at: a 100 µs sorter window (the records are stamped in the past, so
 // extraction never waits on T) and no heartbeats.
-func floodSink(tap ism.SinkTap) (*ism.Manager, error) {
+func floodSink(sinks ...ism.SinkTap) (*ism.Manager, error) {
 	m, err := ism.New(ism.Config{
 		Addr:              "127.0.0.1:0",
 		MergeInterval:     time.Millisecond,
 		BufferRecords:     1 << 16,
 		Sorter:            ols.Config{InitialT: 100},
 		HeartbeatInterval: -1,
-		Tap:               tap,
+		Sinks:             sinks,
 		Logf:              quiet,
 	})
 	if err != nil {

@@ -61,7 +61,7 @@ func RunIngest(sessions, perSession, batchRecords int) (IngestResult, error) {
 	if sessions <= 0 {
 		sessions = 1
 	}
-	m, err := floodSink(nil)
+	m, err := floodSink()
 	if err != nil {
 		return IngestResult{}, err
 	}

@@ -14,7 +14,7 @@ import (
 // locally sorts and forwards its merged regional stream upstream as a
 // single RelayBatch session, and the root re-merges it. The reported rate
 // is sustained end-to-end delivery at the root's sinks, so it prices the
-// whole extra hop: relay decode → sort → forward tap → uplink encode →
+// whole extra hop: relay decode → sort → uplink sink copy →
 // root decode → merge. Compare against ingest/sessions=N for the relay
 // tier's overhead.
 func RunRelayIngest(sessions, perSession, batchRecords int) (IngestResult, error) {
@@ -22,7 +22,7 @@ func RunRelayIngest(sessions, perSession, batchRecords int) (IngestResult, error
 		sessions = 1
 	}
 	f := newFlood(perSession, batchRecords)
-	root, err := floodSink(nil)
+	root, err := floodSink()
 	if err != nil {
 		return IngestResult{}, err
 	}

@@ -35,7 +35,7 @@ func TestFullWidthRecordWithoutTimestampIsDelivered(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		var trace bytes.Buffer
 		m := newManager(t, Config{HeartbeatInterval: -1, OLSShards: shards,
-			PICL: picl.NewWriter(&trace, picl.TimeUTC, 0)})
+			Sinks: []SinkTap{picl.NewWriter(&trace, picl.TimeUTC, 0)}})
 		wc, ack, closeFn := dialRaw(t, m, 0x8F1E1D5, false)
 		if err := wc.Send(&wire.DataBatch{Seq: 1, Count: 3, Payload: payload}); err != nil {
 			t.Fatal(err)

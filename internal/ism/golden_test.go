@@ -41,12 +41,14 @@ func goldenTraceSync(t *testing.T, shards int, tap SinkTap, sync bool) ([]byte, 
 	cfg := Config{
 		Addr:              "127.0.0.1:0",
 		Clock:             clock,
-		PICL:              pw,
+		Sinks:             []SinkTap{pw},
 		MergeInterval:     time.Millisecond,
 		HeartbeatInterval: -1,
 		OLSShards:         shards,
-		Tap:               tap,
 		Logf:              quietLog,
+	}
+	if tap != nil {
+		cfg.Sinks = append(cfg.Sinks, tap)
 	}
 	if sync {
 		// Rounds are driven explicitly via SyncRound; the hour-long

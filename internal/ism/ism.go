@@ -4,12 +4,10 @@
 // arriving record batches in per-sensor queues (in-order arrival being
 // guaranteed by the stream socket), merges them with the heap-based
 // on-line sorter, matches causally-related events, and fans the sorted
-// stream out to its sinks:
-//
-//   - a memory buffer read by instrumentation-data consumer tools (the
-//     default output mode),
-//   - optional PICL ASCII trace logging, and
-//   - an optional list of remote visual objects.
+// stream out to its sinks: the built-in memory buffer read by
+// instrumentation-data consumer tools (the default output mode), then
+// every configured SinkTap in order — PICL ASCII trace logging, remote
+// visual objects, the read-side subscription engine, a relay's uplink.
 //
 // The ISM is also the clock-synchronization master: it polls the external
 // sensors in rounds and issues corrections, and the causally-related-event
@@ -33,11 +31,9 @@ import (
 	"brisk/internal/cre"
 	"brisk/internal/metrics"
 	"brisk/internal/ols"
-	"brisk/internal/picl"
 	"brisk/internal/record"
 	"brisk/internal/shm"
 	"brisk/internal/vclock"
-	"brisk/internal/visual"
 	"brisk/internal/wire"
 )
 
@@ -69,11 +65,6 @@ type Config struct {
 	// BufferRecords is the memory-buffer capacity in records. Default
 	// 65536.
 	BufferRecords int
-	// PICL, when non-nil, receives every sorted record as a trace line.
-	PICL *picl.Writer
-	// Visual, when non-nil, receives every sorted record as a PICL
-	// string, fan-out to remote visual objects.
-	Visual *visual.Dispatcher
 	// Sync configures the clock-synchronization master.
 	Sync clocksync.Config
 	// SyncPeriod is the polling round period; 0 disables the master.
@@ -107,25 +98,11 @@ type Config struct {
 	// "specify what to monitor" hook of the paper's transparent
 	// monitoring discussion.
 	Filter func(rec *record.Record) bool
-	// Forward, when non-nil, receives every sorted record the sinks
-	// accept (loss markers included — they are exempt from Filter),
-	// called with the pipeline lock (sorterMu) held: on the merger, or
-	// with one shard on whichever decode worker holds the lock. The
-	// relay tier uses it as its uplink tap. The record borrows merge
-	// staging storage: implementations must encode or copy what they
-	// keep before returning, and must never block.
-	Forward func(rec *record.Record)
-	// Tap, when non-nil, is the read-side subscription tap: it receives
-	// every record the sinks accept (loss markers included) together
-	// with the node-prefixed encoding the memory-buffer sink produced
-	// and the flush's manager-clock instant, then one EndFlush per sink
-	// flush to amortize subscriber wake-ups. Both calls run with the
-	// pipeline lock held, on whichever goroutine holds it: implementations
-	// must never block and must not allocate on the Publish path — the
-	// ingest pipeline's zero-allocation contract extends through the
-	// tap. The record and encoding borrow merge staging storage and
-	// must be copied if kept.
-	Tap SinkTap
+	// Sinks receive, in order, every record the memory buffer accepts
+	// (loss markers included — they are exempt from Filter), then one
+	// EndFlush per sink flush. A sink with a Flush() error method is
+	// flushed once at the final flush, before Close returns.
+	Sinks []SinkTap
 	// GateBacklog, when non-nil, reports extra records that should count
 	// toward the ack-gate occupancy on top of the sorter's own buffered
 	// count. A relay manager points it at its uplink backlog, so a
@@ -166,12 +143,16 @@ const (
 	maxCreditWindow = 4096
 )
 
-// SinkTap consumes the sorted stream at the sink stage — the
-// subscription engine's attachment point (see Config.Tap).
+// SinkTap consumes the sorted stream at the sink stage (see
+// Config.Sinks). Both calls run with the pipeline lock (sorterMu) held,
+// on whichever goroutine holds it: on the merger, or with one shard on a
+// decode worker.
 type SinkTap interface {
-	// Publish receives one sink-accepted record, its node-prefixed
-	// encoding, and the manager clock of the flush. Borrowed storage;
-	// must not block or allocate.
+	// Publish receives one sink-accepted record, the node-prefixed
+	// encoding the memory buffer got, and the manager clock of the flush.
+	// Both borrow merge staging storage and must be copied if kept. It
+	// must not block, and should not allocate: the ingest pipeline's
+	// zero-allocation contract extends through the sinks.
 	Publish(rec *record.Record, encoded []byte, now int64)
 	// EndFlush marks the end of one sink flush.
 	EndFlush()
@@ -377,8 +358,7 @@ type Manager struct {
 	out      []record.Record
 	sinkBufs [][]byte
 	emitNow  int64 // manager clock for the current merge event
-	// fieldBuf takes the one decode a sink-bound record gets when a
-	// filter, the PICL log or a visual object reads its field values.
+	// fieldBuf takes a sink-bound record's field values for the Filter.
 	fieldBuf [record.MaxFields]record.Value
 
 	workersLive atomic.Int64
@@ -427,9 +407,6 @@ type Manager struct {
 	syncFallbacks   *metrics.Counter
 	syncUncertainty *metrics.Gauge
 	driftGauges     map[int32]*atomic.Uint64 // float64 bits, per slave node
-
-	visualBuf  *lineBuffer
-	visualPICL *picl.Writer
 }
 
 // Pipeline tracer stages owned by the manager side.
@@ -438,16 +415,6 @@ const (
 	stageSorterEmit         // record left the on-line sorter
 	stageSinkDeliver        // record delivered to the sinks
 )
-
-// lineBuffer renders one PICL line at a time for the visual dispatcher.
-type lineBuffer struct {
-	buf []byte
-}
-
-func (b *lineBuffer) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
 
 // New creates a manager and starts listening. Call Serve to begin
 // accepting external sensors.
@@ -525,10 +492,6 @@ func New(cfg Config) (*Manager, error) {
 			}
 		},
 	})
-	if cfg.Visual != nil {
-		m.visualBuf = &lineBuffer{}
-		m.visualPICL = picl.NewWriter(m.visualBuf, picl.TimeUTC, 0)
-	}
 	return m, nil
 }
 
@@ -721,14 +684,6 @@ func (m *Manager) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc(metrics.Desc{Name: "brisk_ism_buffer_written_total",
 		Help: "records published to the memory buffer sink", Unit: "records"},
 		func() uint64 { return m.buffer.Written() })
-	if m.cfg.Visual != nil {
-		reg.CounterFunc(metrics.Desc{Name: "brisk_visual_lines_sent_total",
-			Help: "PICL lines delivered to remote visual objects", Unit: "lines"},
-			func() uint64 { sent, _ := m.cfg.Visual.Totals(); return sent })
-		reg.CounterFunc(metrics.Desc{Name: "brisk_visual_lines_dropped_total",
-			Help: "PICL lines dropped at slow visual consumers", Unit: "lines"},
-			func() uint64 { _, dropped := m.cfg.Visual.Totals(); return dropped })
-	}
 	if m.cfg.TraceSampleEvery >= 0 {
 		every := m.cfg.TraceSampleEvery
 		if every == 0 {
@@ -1370,9 +1325,11 @@ func (m *Manager) mergeLoop() {
 			m.flushSinks(now)
 			m.sorterMu.Unlock()
 			m.buffer.Close()
-			if m.cfg.PICL != nil {
-				if err := m.cfg.PICL.Flush(); err != nil {
-					m.logf("ism: picl flush: %v", err)
+			for _, s := range m.cfg.Sinks {
+				if f, ok := s.(interface{ Flush() error }); ok {
+					if err := f.Flush(); err != nil {
+						m.logf("ism: sink flush: %v", err)
+					}
 				}
 			}
 			return
@@ -1450,32 +1407,29 @@ func (m *Manager) collect(rec record.Record) {
 
 // flushSinks delivers every collected record to the sinks in one pass:
 // node prefix plus the record's own bytes (its timestamp patched if the
-// matcher repaired it) into recycled per-record buffers, published to the
-// memory buffer under a single lock, and PICL/visual lines streamed. A
-// record's field values are decoded only when something here reads them
-// — a user filter, the PICL log, an attached visual object — and then
-// once, into fieldBuf. Runs with sorterMu held.
+// matcher repaired it) into recycled per-record buffers, handed to each
+// configured sink and then published to the memory buffer under a single
+// lock. Field values are decoded here only for a Filter, into fieldBuf;
+// a sink that reads them decodes them itself. Runs with sorterMu held.
 func (m *Manager) flushSinks(now int64) {
 	if len(m.out) == 0 {
 		return
 	}
-	visual := m.cfg.Visual != nil && m.cfg.Visual.Len() > 0
-	needFields := m.cfg.Filter != nil || m.cfg.PICL != nil || visual
 	n := 0
 	for i := range m.out {
 		rec := &m.out[i]
-		if needFields {
+		// Loss markers are exempt from the filter: the whole point of the
+		// marker is that no consumer can miss the gap.
+		if m.cfg.Filter != nil && rec.Event != record.LossEvent {
 			fields, err := rec.DecodeFields(&m.fieldBuf)
 			if err != nil {
 				m.logf("ism: decode for sinks: %v", err)
 			}
 			rec.Fields = fields
-		}
-		// Loss markers are exempt from the filter: the whole point of the
-		// marker is that no consumer can miss the gap.
-		if m.cfg.Filter != nil && rec.Event != record.LossEvent && !m.cfg.Filter(rec) {
-			m.filtered.Inc()
-			continue
+			if !m.cfg.Filter(rec) {
+				m.filtered.Inc()
+				continue
+			}
 		}
 		// Memory buffer: node prefix + the NOTICE binary structure.
 		for n >= len(m.sinkBufs) {
@@ -1495,9 +1449,6 @@ func (m *Manager) flushSinks(now int64) {
 		m.sinkBufs[n] = buf
 		n++
 		m.emitted.Inc()
-		if m.cfg.Forward != nil {
-			m.cfg.Forward(rec)
-		}
 		if rec.HasTS {
 			age := now - rec.TS
 			m.emitLat.Observe(age)
@@ -1505,30 +1456,13 @@ func (m *Manager) flushSinks(now int64) {
 				m.tracer.Observe(stageSinkDeliver, age)
 			}
 		}
-		if m.cfg.Tap != nil {
-			m.cfg.Tap.Publish(rec, buf, now)
-		}
-		if m.cfg.PICL != nil {
-			if err := m.cfg.PICL.WriteRecord(rec); err != nil {
-				m.logf("ism: picl write: %v", err)
-			}
-		}
-		if visual {
-			m.visualBuf.buf = m.visualBuf.buf[:0]
-			if err := m.visualPICL.WriteRecord(rec); err == nil {
-				if err := m.visualPICL.Flush(); err == nil {
-					line := string(m.visualBuf.buf)
-					if l := len(line); l > 0 && line[l-1] == '\n' {
-						line = line[:l-1]
-					}
-					m.cfg.Visual.Dispatch(line)
-				}
-			}
+		for _, s := range m.cfg.Sinks {
+			s.Publish(rec, buf, now)
 		}
 	}
 	m.buffer.PublishBatch(m.sinkBufs[:n])
-	if m.cfg.Tap != nil {
-		m.cfg.Tap.EndFlush()
+	for _, s := range m.cfg.Sinks {
+		s.EndFlush()
 	}
 	m.sinkBatchH.Observe(int64(len(m.out)))
 	m.out = m.out[:0]

@@ -2,6 +2,8 @@ package ism
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -173,7 +175,7 @@ func TestPICLSink(t *testing.T) {
 	var mu sync.Mutex
 	sw := &syncWriter{w: &buf, mu: &mu}
 	pw := picl.NewWriter(sw, picl.TimeUTC, 0)
-	m := newManager(t, Config{PICL: pw})
+	m := newManager(t, Config{Sinks: []SinkTap{pw}})
 	_, region := newNode(t, m, "n", nil)
 	s := sensor.New(region, "app", sensor.Options{})
 	for i := 0; i < 10; i++ {
@@ -192,6 +194,53 @@ func TestPICLSink(t *testing.T) {
 	ln, err := rd.Next()
 	if err != nil || ln.Event != 3 {
 		t.Fatalf("picl parse: %+v %v", ln, err)
+	}
+}
+
+// errDiskFull is what failWriter returns for every write.
+var errDiskFull = errors.New("disk full")
+
+// failWriter is a PICL destination that fails every write, like a full
+// disk or a closed pipe.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestPICLSinkFailingWriterLogsOnce: a PICL destination that fails every
+// write costs one log line, reported when Close flushes the sinks, and
+// the memory buffer still receives every record.
+func TestPICLSinkFailingWriterLogsOnce(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	pw := picl.NewWriter(failWriter{}, picl.TimeUTC, 0)
+	m := newManager(t, Config{Sinks: []SinkTap{pw}, Logf: logf})
+	_, region := newNode(t, m, "n", nil)
+	s := sensor.New(region, "app", sensor.Options{})
+	const n = 1000 // tens of KiB of trace: the writer's buffer fills many times
+	for i := 0; i < n; i++ {
+		if !s.Notice2i(3, int32(i), 9) {
+			t.Fatalf("notice %d dropped", i)
+		}
+	}
+	if got := drainCursor(t, m, n, 10*time.Second); len(got) != n {
+		t.Fatalf("memory buffer got %d of %d records", len(got), n)
+	}
+	m.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	var errLines []string
+	for _, l := range logged {
+		if strings.Contains(l, errDiskFull.Error()) {
+			errLines = append(errLines, l)
+		}
+	}
+	if len(errLines) != 1 {
+		t.Fatalf("failing PICL destination logged %d lines, want 1: %q", len(errLines), errLines)
 	}
 }
 
@@ -228,7 +277,7 @@ func TestVisualSink(t *testing.T) {
 	}
 	disp.Attach(remote)
 
-	m := newManager(t, Config{Visual: disp})
+	m := newManager(t, Config{Sinks: []SinkTap{disp}})
 	_, region := newNode(t, m, "n", nil)
 	s := sensor.New(region, "app", sensor.Options{})
 	for i := 0; i < 20; i++ {
@@ -435,8 +484,7 @@ func TestAllSinksTogether(t *testing.T) {
 	pw := picl.NewWriter(&syncWriter{w: &pbuf, mu: &pmu}, picl.TimeUTC, 0)
 
 	m := newManager(t, Config{
-		PICL:   pw,
-		Visual: disp,
+		Sinks:  []SinkTap{pw, disp},
 		Filter: func(r *record.Record) bool { return r.Event != 99 },
 	})
 	_, region := newNode(t, m, "n", nil)

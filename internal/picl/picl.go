@@ -58,6 +58,7 @@ type Writer struct {
 	lines   uint64
 	scratch []byte // one rendered line, recycled across records
 	fields  [record.MaxFields]record.Value
+	err     error // first Publish failure; later records are skipped
 }
 
 // NewWriter returns a writer in the given time mode; start is the UTC
@@ -75,23 +76,60 @@ func (w *Writer) Lines() uint64 { return w.lines }
 // manager's sink hot path.
 func (w *Writer) WriteRecord(r *record.Record) error {
 	w.lines++
-	b := w.scratch[:0]
+	b, err := appendLine(w.scratch[:0], r, w.mode, w.start, &w.fields)
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
+	w.scratch = b
+	_, err = w.bw.Write(b)
+	return err
+}
+
+// Publish writes one record as the manager's PICL sink. The first error
+// is kept and every later record skipped, so a failing destination costs
+// one report, from Flush, instead of one per record.
+func (w *Writer) Publish(r *record.Record, _ []byte, _ int64) {
+	if w.err == nil {
+		w.err = w.WriteRecord(r)
+	}
+}
+
+// EndFlush is a no-op: lines reach the destination as the buffer fills
+// and at Flush.
+func (w *Writer) EndFlush() {}
+
+// Flush writes buffered lines to the underlying writer, or reports the
+// error that stopped Publish.
+func (w *Writer) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.bw.Flush()
+}
+
+// AppendLine appends r's trace line, without the newline and with the
+// timestamp in integer microseconds of UTC, to dst. A record that is
+// still only bytes is decoded into fields.
+func AppendLine(dst []byte, r *record.Record, fields *[record.MaxFields]record.Value) ([]byte, error) {
+	return appendLine(dst, r, TimeUTC, 0, fields)
+}
+
+func appendLine(b []byte, r *record.Record, mode TimeMode, start int64, scratch *[record.MaxFields]record.Value) ([]byte, error) {
 	b = strconv.AppendInt(b, UserEventType, 10)
 	b = append(b, ' ')
 	b = strconv.AppendUint(b, uint64(r.Event), 10)
 	b = append(b, ' ')
-	switch w.mode {
+	switch mode {
 	case TimeRelative:
-		b = strconv.AppendFloat(b, float64(r.TS-w.start)/1e6, 'f', 6, 64)
+		b = strconv.AppendFloat(b, float64(r.TS-start)/1e6, 'f', 6, 64)
 	default:
 		b = strconv.AppendInt(b, r.TS, 10)
 	}
-	// Data fields exclude the timestamp (already the time column). A
-	// record that is still only bytes is decoded here, into the writer's
-	// own array.
-	fields, err := r.DecodeFields(&w.fields)
+	// Data fields exclude the timestamp (already the time column).
+	fields, err := r.DecodeFields(scratch)
 	if err != nil {
-		return err
+		return b, err
 	}
 	n := 0
 	for _, f := range fields {
@@ -110,10 +148,7 @@ func (w *Writer) WriteRecord(r *record.Record) error {
 		b = append(b, ' ')
 		b = appendField(b, f)
 	}
-	b = append(b, '\n')
-	w.scratch = b
-	_, err = w.bw.Write(b)
-	return err
+	return b, nil
 }
 
 func appendField(b []byte, f record.Value) []byte {
@@ -134,9 +169,6 @@ func appendField(b []byte, f record.Value) []byte {
 	}
 	return b
 }
-
-// Flush writes buffered lines to the underlying writer.
-func (w *Writer) Flush() error { return w.bw.Flush() }
 
 // Line is one parsed trace record.
 type Line struct {

@@ -175,3 +175,42 @@ func BenchmarkWriteRecord(b *testing.B) {
 		}
 	}
 }
+
+// failingWriter fails every write.
+type failingWriter struct{ err error }
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// TestPublishKeepsFirstError: as a manager sink the writer stops at its
+// first failed write and reports that error once, from Flush.
+func TestPublishKeepsFirstError(t *testing.T) {
+	errFull := errors.New("disk full")
+	w := NewWriter(failingWriter{errFull}, TimeUTC, 0)
+	r := record.New(7, record.TSVal(1_000_500), record.StrVal(strings.Repeat("x", 512)))
+	for i := 0; i < 100; i++ {
+		w.Publish(&r, nil, 0)
+		w.EndFlush()
+	}
+	if err := w.Flush(); !errors.Is(err, errFull) {
+		t.Fatalf("Flush = %v, want %v", err, errFull)
+	}
+	if n := w.Lines(); n >= 100 {
+		t.Fatalf("rendered %d lines after the destination failed", n)
+	}
+}
+
+// TestAppendLineMatchesWriteRecord: the one-line renderer the public
+// PICLLine and the visual sink use is WriteRecord's UTC line without the
+// newline.
+func TestAppendLineMatchesWriteRecord(t *testing.T) {
+	r := record.New(7, record.TSVal(1_000_500), record.I32Val(-3), record.StrVal("hi"))
+	r.Node = 2
+	var fields [record.MaxFields]record.Value
+	got, err := AppendLine([]byte("keep:"), &r, &fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "keep:" + strings.TrimSuffix(writeOne(t, TimeUTC, 0, r), "\n"); string(got) != want {
+		t.Fatalf("AppendLine = %q, want %q", got, want)
+	}
+}

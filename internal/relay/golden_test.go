@@ -53,7 +53,7 @@ func goldenFederatedTraceSync(t *testing.T, relays, shards int, sync bool) ([]by
 	rootCfg := ism.Config{
 		Addr:              "127.0.0.1:0",
 		Clock:             vclock.NewManual(1),
-		PICL:              pw,
+		Sinks:             []ism.SinkTap{pw},
 		MergeInterval:     time.Millisecond,
 		HeartbeatInterval: -1,
 		OLSShards:         shards,

@@ -7,12 +7,12 @@
 //
 // The relay is two halves bolted together:
 //
-//   - downstream, an embedded ism.Manager whose Forward sink tap feeds
-//     every emitted record (origin-attributed, loss markers included)
-//     into the uplink, and whose GateBacklog hook counts the uplink's
-//     unacknowledged backlog toward the ack-gate occupancy — so a parent
-//     withholding acks closes this tier's gate and the halt propagates
-//     to the leaves;
+//   - downstream, an embedded ism.Manager that lists the relay as its
+//     last sink, so every emitted record (origin-attributed, loss markers
+//     included) is copied into the uplink, and whose GateBacklog hook
+//     counts the uplink's unacknowledged backlog toward the ack-gate
+//     occupancy — so a parent withholding acks closes this tier's gate
+//     and the halt propagates to the leaves;
 //   - upstream, the same resumable-session sender the external sensor
 //     links (internal/uplink: sequence-numbered replay queue, credit flow
 //     control, session resume, drop-oldest eviction tallied for loss
@@ -25,7 +25,7 @@
 // runs on the relay's raw clock (children converge to the relay frame),
 // the parent's probes are answered with the relay's corrected clock and
 // its adjustments accumulate in that correction, and every forwarded
-// timestamp is patched by the correction at encode time — so a leaf
+// timestamp is patched by the correction as it is copied — so a leaf
 // record reaches the root in the root frame with error bounded by the
 // sum of the per-hop residuals.
 //
@@ -52,6 +52,7 @@ import (
 	"brisk/internal/uplink"
 	"brisk/internal/vclock"
 	"brisk/internal/wire"
+	"brisk/internal/xdr"
 )
 
 // Config configures a Relay. Addr and Parent are required.
@@ -75,8 +76,8 @@ type Config struct {
 	// parent's sync rounds adjust.
 	Clock vclock.Clock
 	// ISM tunes the downstream manager (sorter, shards, watermarks,
-	// sync cadence, …). Addr, Clock, Forward, GateBacklog and Metrics
-	// are overridden by the relay.
+	// sync cadence, …). Addr, Clock, GateBacklog and Metrics are
+	// overridden by the relay, which appends itself to Sinks.
 	ISM ism.Config
 	// BatchRecords is how many forwarded records one uplink batch
 	// carries before it is sealed. Default 256.
@@ -217,7 +218,7 @@ func New(cfg Config) (*Relay, error) {
 	mcfg := cfg.ISM
 	mcfg.Addr = cfg.Addr
 	mcfg.Clock = r.rawClk
-	mcfg.Forward = r.forward
+	mcfg.Sinks = append(mcfg.Sinks[:len(mcfg.Sinks):len(mcfg.Sinks)], r)
 	mcfg.GateBacklog = func() int { return int(r.backlog.Load()) }
 	mcfg.Metrics = r.reg
 	if mcfg.Logf == nil {
@@ -321,39 +322,24 @@ func (r *Relay) Node() int32 { return r.up.Node() }
 // correction accumulated from parent sync rounds).
 func (r *Relay) Clock() *vclock.Corrected { return r.clock }
 
-// forward is the downstream manager's Forward tap: it encodes one
-// emitted record as a node-prefixed entry into the batch under
-// assembly, rebasing the origin id and patching the timestamp into the
-// parent frame. Runs with the downstream manager's pipeline lock held,
-// so it only appends — sealing copies the batch into the sender's
-// queue but never touches the network.
-func (r *Relay) forward(rec *record.Record) {
-	node := rec.Node + r.cfg.NodeBase
+// Publish is the downstream manager's uplink sink: it copies one
+// emitted record's node-prefixed encoding into the batch under assembly,
+// rebases the origin id by NodeBase and patches the timestamp into the
+// parent frame. Runs with the downstream manager's pipeline lock held, so
+// it only appends — sealing copies the batch into the sender's queue but
+// never touches the network.
+func (r *Relay) Publish(rec *record.Record, encoded []byte, _ int64) {
 	corr := r.clock.Correction()
 	r.mu.Lock()
 	mark := len(r.cur)
-	buf := append(r.cur,
-		byte(uint32(node)>>24), byte(uint32(node)>>16),
-		byte(uint32(node)>>8), byte(uint32(node)))
-	var err error
-	if corr != 0 && rec.HasTS {
-		// Shift into the parent frame for the encode only; the record is
-		// borrowed and feeds the local sinks after us. SetTS reaches the
-		// timestamp in either representation: the header an encoded body
-		// is patched from, or the TS field of a synthesized marker.
-		rec.SetTS(rec.TS + corr)
-		buf, err = rec.Append(buf)
-		rec.SetTS(rec.TS - corr)
-	} else {
-		buf, err = rec.Append(buf)
+	r.cur = append(r.cur, encoded...)
+	entry := r.cur[mark:]
+	xdr.PutUint32(entry, uint32(rec.Node+r.cfg.NodeBase))
+	if corr != 0 {
+		if ts, off, ok := record.PeekTS(entry[4:]); ok {
+			record.PatchTS(entry[4:], off, ts+corr)
+		}
 	}
-	if err != nil {
-		r.cur = buf[:mark]
-		r.mu.Unlock()
-		r.logf("relay: encode for uplink: %v", err)
-		return
-	}
-	r.cur = buf
 	r.curCount++
 	r.backlog.Add(1)
 	seal := r.curCount >= r.cfg.BatchRecords
@@ -366,6 +352,9 @@ func (r *Relay) forward(rec *record.Record) {
 		r.kick()
 	}
 }
+
+// EndFlush is a no-op: batches seal by size and on the flush interval.
+func (r *Relay) EndFlush() {}
 
 // kick asks the flush loop to pump now.
 func (r *Relay) kick() {
@@ -453,8 +442,8 @@ func (r *Relay) Stats() Stats {
 }
 
 // Close shuts the relay down tier by tier: the downstream manager first
-// (severing leaf sessions and flushing its sorter through the Forward
-// tap), then the uplink tail is sealed and pumped, acknowledged batches
+// (severing leaf sessions and flushing its sorter through the uplink
+// sink), then the uplink tail is sealed and pumped, acknowledged batches
 // are awaited (bounded), and the parent link closes with a BYE. Records
 // the parent never acknowledged are counted as dropped. The whole
 // sequence runs inside the sender's Close, so a parent that stopped

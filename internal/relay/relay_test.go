@@ -1,8 +1,10 @@
 package relay
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"brisk/internal/ism"
 	"brisk/internal/ols"
 	"brisk/internal/record"
+	"brisk/internal/vclock"
 	"brisk/internal/wire"
 )
 
@@ -644,7 +647,7 @@ func TestForwardShiftsTimestampsIntoParentFrame(t *testing.T) {
 	data := record.New(3, record.I32Val(1), record.TSVal(ts))
 	marker := record.NewLossMarker(5, ts-10, ts+1)
 	marker.Node = 9
-	rl.forward(&marker) // what harvestLosses hands the Forward tap
+	rl.Publish(&marker, sinkEntry(t, &marker), 0) // what harvestLosses hands the sinks
 	if marker.TS != ts+1 || marker.Fields[0] != record.TSVal(ts+1) {
 		t.Fatalf("forward left the borrowed marker shifted: %+v", marker)
 	}
@@ -664,6 +667,110 @@ func TestForwardShiftsTimestampsIntoParentFrame(t *testing.T) {
 		if d.rec.TS != want {
 			t.Fatalf("root saw ts %d (marker=%v), want %d: the hop correction of %d was not applied",
 				d.rec.TS, d.marker, want, corr)
+		}
+	}
+}
+
+// sinkEntry is the node-prefixed encoding the downstream manager's sink
+// flush hands every sink beside the record.
+func sinkEntry(t *testing.T, rec *record.Record) []byte {
+	t.Helper()
+	n := uint32(rec.Node)
+	buf, err := rec.Append([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// reencodeEntry is the uplink entry as the relay used to build it: write
+// the rebased prefix, shift the record's timestamp into the parent frame,
+// re-encode it, and shift it back. It works on a private copy of rec.
+func reencodeEntry(t *testing.T, rec record.Record, base int32, corr int64) []byte {
+	t.Helper()
+	rec.Fields = append([]record.Value(nil), rec.Fields...)
+	n := uint32(rec.Node + base)
+	buf := []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
+	if corr != 0 && rec.HasTS {
+		rec.SetTS(rec.TS + corr)
+	}
+	buf, err := rec.Append(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// scanned returns r as the manager carries it: an encoded body.
+func scanned(t *testing.T, r record.Record, node int32) record.Record {
+	t.Helper()
+	body, err := r.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out record.Record
+	if _, err := record.Scan(&out, body); err != nil {
+		t.Fatal(err)
+	}
+	out.Node = node
+	return out
+}
+
+// TestPublishMatchesReencode holds the uplink sink's copy-and-patch to the
+// re-encode it replaced, byte for byte, for every record shape the
+// downstream manager emits, with and without a hop correction — and
+// checks that neither the borrowed record nor its encoding is touched.
+func TestPublishMatchesReencode(t *testing.T) {
+	const ts = int64(1_700_000_000_000_000)
+	data := scanned(t, record.New(3, record.I32Val(1), record.TSVal(ts)), 4)
+	marker := record.NewLossMarker(5, ts-10, ts+1)
+	marker.Node = 9
+	var eight []record.Value
+	for i := 0; i < record.MaxFields; i++ {
+		eight = append(eight, record.I32Val(int32(i)))
+	}
+	noTS := scanned(t, record.New(4, eight...), 6)
+	noTS.TS = ts + 7 // the arrival time the sorter sorted it by
+	repaired := scanned(t, record.New(5, record.TSVal(ts), record.ConseqVal(77)), 2)
+	repaired.SetTS(ts + 500) // the causal matcher's repair: header only
+
+	cases := []struct {
+		name string
+		rec  record.Record
+	}{
+		{"data", data},
+		{"loss marker", marker},
+		{"eight fields no TS", noTS},
+		{"repaired", repaired},
+	}
+	for _, corr := range []int64{0, 250_000, -3_000} {
+		for _, c := range cases {
+			clock := vclock.NewCorrected(vclock.NewManual(1))
+			clock.Adjust(corr)
+			r := &Relay{cfg: Config{NodeBase: 1000, BatchRecords: 1 << 20}, clock: clock}
+			r.registerMetrics(nil)
+
+			rec := c.rec
+			rec.Fields = append([]record.Value(nil), c.rec.Fields...)
+			before := rec
+			before.Fields = append([]record.Value(nil), rec.Fields...)
+			encoded := sinkEntry(t, &rec)
+			encodedBefore := append([]byte(nil), encoded...)
+			want := reencodeEntry(t, rec, 1000, corr)
+
+			r.Publish(&rec, encoded, 0)
+			if !bytes.Equal(r.cur, want) {
+				t.Errorf("%s corr=%d: queued %x, re-encode gives %x", c.name, corr, r.cur, want)
+			}
+			if !reflect.DeepEqual(rec, before) {
+				t.Errorf("%s corr=%d: borrowed record changed: %+v, was %+v", c.name, corr, rec, before)
+			}
+			if !bytes.Equal(encoded, encodedBefore) {
+				t.Errorf("%s corr=%d: borrowed encoding changed", c.name, corr)
+			}
+			if r.curCount != 1 || r.backlog.Load() != 1 {
+				t.Errorf("%s corr=%d: count %d backlog %d, want 1 and 1", c.name, corr, r.curCount, r.backlog.Load())
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@
 package shm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -31,15 +30,6 @@ const (
 	// MaxEntryBytes is the largest single record a ring accepts. Larger
 	// writes fail immediately rather than deadlocking the producer.
 	MaxEntryBytes = 1 << 15
-)
-
-var (
-	// ErrEntryTooLarge reports a record bigger than MaxEntryBytes or the
-	// ring itself.
-	ErrEntryTooLarge = errors.New("shm: entry too large for ring")
-	// ErrOverrun reports that a Buffer reader was lapped by the writer
-	// and lost records.
-	ErrOverrun = errors.New("shm: reader overrun, records dropped")
 )
 
 // pad keeps hot atomics on separate cache lines to avoid false sharing

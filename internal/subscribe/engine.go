@@ -80,8 +80,8 @@ type Event struct {
 }
 
 // Engine is the subscription engine: one per manager, fed by the
-// merger's sink flush via Publish/EndFlush (the ism.Config.Tap
-// contract), read by any number of subscribers and queries.
+// merger's sink flush via Publish/EndFlush (it is one of the manager's
+// ism.SinkTap sinks), read by any number of subscribers and queries.
 type Engine struct {
 	cfg   Config
 	cache *cache
@@ -176,7 +176,7 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 }
 
 // Publish appends one sink-accepted record to the hot window and the
-// frequency sketch. It is the ism.Config.Tap hot path: called under the
+// frequency sketch. It is the sink's hot path: called under the
 // manager's pipeline lock for every emitted record with the node-prefixed
 // encoding the memory-buffer sink produced (borrowed — copied here) and
 // the flush's manager-clock instant. It never blocks on subscribers and

@@ -22,6 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"brisk/internal/picl"
+	"brisk/internal/record"
 	"brisk/internal/xdr"
 )
 
@@ -268,56 +270,77 @@ func (r *Remote) Close() error {
 }
 
 // Dispatcher fans one PICL stream out to a list of remote objects — the
-// "list of CORBA-enabled visual objects" attached to the ISM.
+// "list of CORBA-enabled visual objects" attached to the ISM. It is also
+// the manager's visual sink: Publish renders each sorted record once and
+// pushes the line to every attached object.
 type Dispatcher struct {
-	mu      sync.RWMutex
-	remotes []*Remote
+	mu      sync.Mutex                // serializes Attach and Close
+	remotes atomic.Pointer[[]*Remote] // copy-on-write; nil while none attached
+
+	// Publish scratch, owned by the goroutine delivering the stream.
+	line   []byte
+	fields [record.MaxFields]record.Value
 }
 
 // NewDispatcher returns an empty dispatcher.
 func NewDispatcher() *Dispatcher { return &Dispatcher{} }
 
+// list returns the attached remotes with one atomic load.
+func (d *Dispatcher) list() []*Remote {
+	if p := d.remotes.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Attach adds a remote object to the fan-out list.
 func (d *Dispatcher) Attach(r *Remote) {
 	d.mu.Lock()
-	d.remotes = append(d.remotes, r)
+	rs := d.list()
+	rs = append(rs[:len(rs):len(rs)], r)
+	d.remotes.Store(&rs)
 	d.mu.Unlock()
 }
 
 // Len returns the number of attached remotes.
-func (d *Dispatcher) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.remotes)
-}
+func (d *Dispatcher) Len() int { return len(d.list()) }
 
 // Totals sums sent and dropped line counts across every attached remote.
 func (d *Dispatcher) Totals() (sent, dropped uint64) {
-	d.mu.RLock()
-	rs := d.remotes
-	d.mu.RUnlock()
-	for _, r := range rs {
+	for _, r := range d.list() {
 		sent += r.Sent()
 		dropped += r.Dropped()
 	}
 	return sent, dropped
 }
 
-// Dispatch pushes a line to every attached object.
-func (d *Dispatcher) Dispatch(line string) {
-	d.mu.RLock()
-	rs := d.remotes
-	d.mu.RUnlock()
+// Publish renders one sorted record as a PICL line for every attached
+// object; with none attached it costs one atomic load. It is the
+// manager's sink hot path, called for one record at a time.
+func (d *Dispatcher) Publish(rec *record.Record, _ []byte, _ int64) {
+	rs := d.list()
+	if len(rs) == 0 {
+		return
+	}
+	line, err := picl.AppendLine(d.line[:0], rec, &d.fields)
+	d.line = line
+	if err != nil {
+		return
+	}
+	s := string(line)
 	for _, r := range rs {
-		r.Push(line)
+		r.Push(s)
 	}
 }
+
+// EndFlush is a no-op: every line is pushed as it is rendered.
+func (d *Dispatcher) EndFlush() {}
 
 // Close closes every attached remote, returning the first error.
 func (d *Dispatcher) Close() error {
 	d.mu.Lock()
-	rs := d.remotes
-	d.remotes = nil
+	rs := d.list()
+	d.remotes.Store(nil)
 	d.mu.Unlock()
 	var first error
 	for _, r := range rs {

@@ -5,6 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"brisk/internal/picl"
+	"brisk/internal/record"
 )
 
 // collector is a thread-safe test Object.
@@ -167,8 +170,9 @@ func TestDispatcherFanOut(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("len = %d", d.Len())
 	}
+	rec := record.New(1, record.TSVal(5))
 	for i := 0; i < 10; i++ {
-		d.Dispatch("evt")
+		d.Publish(&rec, nil, 0)
 	}
 	waitFor(t, func() bool {
 		return len(c1.snapshot()) == 10 && len(c2.snapshot()) == 10
@@ -229,4 +233,61 @@ func TestPushAfterServerGone(t *testing.T) {
 		}
 	}
 	r.Close()
+}
+
+// TestPublishRendersPICLWhileAttaching: the sink side renders each record
+// once as the PICL line picl.AppendLine gives, while remotes attach from
+// another goroutine (the merge path against a caller of AttachVisual).
+func TestPublishRendersPICLWhileAttaching(t *testing.T) {
+	s, addr := startServer(t)
+	col := &collector{}
+	s.Register("v", col)
+	rec := record.New(5, record.TSVal(1234), record.I32Val(7))
+	rec.Node = 3
+	var fields [record.MaxFields]record.Value
+	want, err := picl.AppendLine(nil, &rec, &fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := NewDispatcher()
+	const remotes = 4
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < remotes; i++ {
+			r, err := Dial(addr, "v", 4096)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d.Attach(r)
+		}
+	}()
+	for d.Len() < remotes {
+		d.Publish(&rec, nil, 0)
+		d.EndFlush()
+	}
+	wg.Wait()
+	d.Publish(&rec, nil, 0)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(col.snapshot()) >= remotes })
+	for _, l := range col.snapshot() {
+		if l != string(want) {
+			t.Fatalf("line %q, want %q", l, want)
+		}
+	}
+}
+
+// TestPublishIdleAllocatesNothing: with nothing attached, the visual sink
+// the manager always lists costs one atomic load per record.
+func TestPublishIdleAllocatesNothing(t *testing.T) {
+	d := NewDispatcher()
+	rec := record.New(5, record.TSVal(1234), record.StrVal("s"))
+	if a := testing.AllocsPerRun(100, func() { d.Publish(&rec, nil, 0) }); a != 0 {
+		t.Fatalf("idle Publish allocates %.1f per record", a)
+	}
 }

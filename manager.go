@@ -7,6 +7,7 @@ import (
 
 	"brisk/internal/clocksync"
 	"brisk/internal/ism"
+	"brisk/internal/metrics"
 	"brisk/internal/ols"
 	"brisk/internal/picl"
 	"brisk/internal/subscribe"
@@ -222,22 +223,29 @@ func StartManager(opts ManagerOptions) (*Manager, error) {
 		Metrics:          opts.Metrics,
 		TraceSampleEvery: opts.TraceSampleEvery,
 	}
+	if eng != nil {
+		cfg.Sinks = append(cfg.Sinks, eng)
+	}
 	if opts.PICL != nil {
 		mode := picl.TimeUTC
 		if opts.PICL.Relative {
 			mode = picl.TimeRelative
 		}
-		cfg.PICL = picl.NewWriter(opts.PICL.W, mode, opts.PICL.Start)
+		cfg.Sinks = append(cfg.Sinks, picl.NewWriter(opts.PICL.W, mode, opts.PICL.Start))
 	}
 	disp := visual.NewDispatcher()
-	cfg.Visual = disp
-	if eng != nil {
-		cfg.Tap = eng
-	}
+	cfg.Sinks = append(cfg.Sinks, disp)
 	m, err := ism.New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	reg := m.Metrics()
+	reg.CounterFunc(metrics.Desc{Name: "brisk_visual_lines_sent_total",
+		Help: "PICL lines delivered to remote visual objects", Unit: "lines"},
+		func() uint64 { sent, _ := disp.Totals(); return sent })
+	reg.CounterFunc(metrics.Desc{Name: "brisk_visual_lines_dropped_total",
+		Help: "PICL lines dropped at slow visual consumers", Unit: "lines"},
+		func() uint64 { _, dropped := disp.Totals(); return dropped })
 	m.Start()
 	return &Manager{inner: m, disp: disp, sub: eng}, nil
 }

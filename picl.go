@@ -1,9 +1,8 @@
 package brisk
 
 import (
-	"strings"
-
 	"brisk/internal/picl"
+	"brisk/internal/record"
 )
 
 // PICLLine renders one record as a PICL ASCII trace line (without the
@@ -11,13 +10,10 @@ import (
 // paper provides for consumers reading the manager's memory buffer.
 // Timestamps are rendered as integer microseconds of UTC.
 func PICLLine(rec *Record) string {
-	var sb strings.Builder
-	w := picl.NewWriter(&sb, picl.TimeUTC, 0)
-	if err := w.WriteRecord(rec); err != nil {
+	var fields [record.MaxFields]record.Value
+	line, err := picl.AppendLine(nil, rec, &fields)
+	if err != nil {
 		return ""
 	}
-	if err := w.Flush(); err != nil {
-		return ""
-	}
-	return strings.TrimRight(sb.String(), "\n")
+	return string(line)
 }
