@@ -3,6 +3,7 @@ package brisk
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -108,4 +109,90 @@ func TestAllocsConsumerNext(t *testing.T) {
 	if per := allocs / perRun; per > 0.01 {
 		t.Fatalf("Consumer.TryNext allocates %.4f times per record, want ≤ 0.01", per)
 	}
+}
+
+// TestConsumerLappedAcrossRuns laps a consumer again and again while it
+// reads with Next and TryNext in turn, some records at a time: records
+// come back in order, none twice, every gap is one Lost counted, and once
+// the buffer closes Lost plus the records returned is everything written.
+// Records are small, so each buffer read copies a run of many and the
+// consumer keeps a partial run across publishes that lap the buffer.
+func TestConsumerLappedAcrossRuns(t *testing.T) {
+	const capacity, total = 50, 4000
+	recs := make([]record.Record, total)
+	for i := range recs {
+		recs[i] = record.New(1, record.TSVal(int64(i)), record.I32Val(int32(i)))
+	}
+	entries := bufferEntries(t, recs)
+	b := shm.NewBuffer(capacity)
+	c := &Consumer{cur: b.NewCursor()}
+	var returned uint64
+	want := int64(0) // the lowest TS the next record may carry
+	read := func(i int) bool {
+		var rec Record
+		var ok bool
+		if i%2 == 0 {
+			rec, ok = c.TryNext()
+		} else {
+			rec, ok = c.Next()
+		}
+		if !ok {
+			return false
+		}
+		if rec.TS < want {
+			t.Fatalf("record %d returned after %d: a repeat or out of order", rec.TS, want-1)
+		}
+		if skipped := uint64(rec.TS) - returned; skipped != c.Lost {
+			t.Fatalf("record %d after %d returned: %d skipped, Lost %d", rec.TS, returned, skipped, c.Lost)
+		}
+		want = rec.TS + 1
+		returned++
+		return true
+	}
+	for published, step := 0, 0; published < total; step++ {
+		n := min(1+step*7%(3*capacity), total-published)
+		b.PublishBatch(entries[published : published+n])
+		published += n
+		for i := 0; i < step%5*7 && read(i); i++ {
+		}
+	}
+	b.Close()
+	for i := 0; read(i); i++ {
+	}
+	if c.Lost == 0 || returned <= capacity {
+		t.Fatalf("test did not exercise lapping: returned %d, lost %d", returned, c.Lost)
+	}
+	if returned+c.Lost != total {
+		t.Fatalf("returned %d + lost %d = %d, want %d", returned, c.Lost, returned+c.Lost, total)
+	}
+}
+
+// BenchmarkConsumerNext is the Consumer's per-record read cost: ns/op and
+// allocs/rec are per record returned by Next, for small numeric records
+// already in the memory buffer (publishing them is outside the timer).
+func BenchmarkConsumerNext(b *testing.B) {
+	const perFill = 8192
+	recs := make([]record.Record, perFill)
+	for i := range recs {
+		recs[i] = record.New(3, record.TSVal(int64(i)), record.I32Val(int32(i)), record.I32Val(7), record.U64Val(uint64(i)))
+	}
+	entries := bufferEntries(b, recs)
+	buf := shm.NewBuffer(perFill)
+	c := &Consumer{cur: buf.NewCursor()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perFill == 0 {
+			b.StopTimer()
+			buf.PublishBatch(entries)
+			b.StartTimer()
+		}
+		if _, ok := c.Next(); !ok {
+			b.Fatal("stream ended")
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/rec")
 }

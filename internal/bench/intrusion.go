@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -43,25 +44,30 @@ func work(x uint64) uint64 {
 // without it the uninstrumented baseline measures an empty loop.
 var benchSink uint64
 
+// intrusionSlices is how many slices each density's run is cut into. The
+// uninstrumented and instrumented loops alternate slice by slice while the
+// manager and node are up, so both see the same machine, and each figure
+// is a median over the slices: a slice that something else on the box
+// preempted (the drain, the merger, another process) is an outlier the
+// median skips, instead of a cost charged to whichever loop it hit.
+const intrusionSlices = 100
+
 // RunIntrusion measures instrumentation overhead at several densities.
+// Each density's slowdown is the median, over its slices, of the
+// instrumented slice's time against the uninstrumented slice's just before
+// it; the "never" row is the mean of the three densities' median
+// uninstrumented slice.
 func RunIntrusion(iters int) ([]IntrusionRow, error) {
 	if iters <= 0 {
 		iters = 2_000_000
 	}
-	// Baseline: no instrumentation at all.
-	var sink uint64
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		sink = work(sink + uint64(i))
-	}
-	baseNanos := float64(time.Since(start).Nanoseconds()) / float64(iters)
-	benchSink += sink
-
 	// Standalone notice cost for the prediction column.
 	noticeNanos := RunNoticeCost(iters / 4).SpecializedNanos
 
-	rows := []IntrusionRow{{NoticeEveryK: 0, NanosPerIter: baseNanos}}
-	for _, k := range []int{100, 10, 1} {
+	rows := []IntrusionRow{{NoticeEveryK: 0}}
+	slice := max(iters/intrusionSlices, 1)
+	densities := []int{100, 10, 1}
+	for _, k := range densities {
 		mgr, err := brisk.StartManager(brisk.ManagerOptions{
 			MergeInterval: time.Millisecond,
 			BufferRecords: 1024,
@@ -80,26 +86,42 @@ func RunIntrusion(iters int) ([]IntrusionRow, error) {
 			return nil, err
 		}
 		s := node.NewSensor("intr", brisk.SensorOptions{RingBytes: 1 << 22})
+		var plain, instrumented, ratio []float64
 		var x uint64
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			x = work(x + uint64(i))
-			if i%k == 0 {
-				s.Notice2i(1, int32(i), int32(x))
+		for from := 0; from+slice <= iters; from += slice {
+			start := time.Now()
+			for i := from; i < from+slice; i++ {
+				x = work(x + uint64(i))
 			}
+			mid := time.Now()
+			for i := from; i < from+slice; i++ {
+				x = work(x + uint64(i))
+				if i%k == 0 {
+					s.Notice2i(1, int32(i), int32(x))
+				}
+			}
+			p, q := float64(mid.Sub(start).Nanoseconds()), float64(time.Since(mid).Nanoseconds())
+			plain, instrumented, ratio = append(plain, p), append(instrumented, q), append(ratio, q/p)
 		}
-		nanos := float64(time.Since(start).Nanoseconds()) / float64(iters)
 		benchSink += x
 		node.Close()
 		mgr.Close()
+		base := median(plain) / float64(slice)
+		rows[0].NanosPerIter += base / float64(len(densities))
 		rows = append(rows, IntrusionRow{
 			NoticeEveryK: k,
-			NanosPerIter: nanos,
-			SlowdownPct:  100 * (nanos - baseNanos) / baseNanos,
-			PredictedPct: 100 * (noticeNanos / float64(k)) / baseNanos,
+			NanosPerIter: median(instrumented) / float64(slice),
+			SlowdownPct:  100 * (median(ratio) - 1),
+			PredictedPct: 100 * (noticeNanos / float64(k)) / base,
 		})
 	}
 	return rows, nil
+}
+
+// median returns the middle value of xs, reordering them.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // IntrusionTable renders the intrusion ablation.

@@ -6,9 +6,11 @@ import (
 
 // Buffer is the manager's default output: a bounded, single-writer record
 // buffer that multiple consumer tools read concurrently, each through its
-// own Cursor. The writer never blocks; when a slow reader is lapped, its
-// next read reports how many records it lost, reproducing the ISM's
-// event-dropping behaviour for slow consumers.
+// own Cursor. The writer never waits for a reader to catch up: when a slow
+// reader is lapped, its next read reports how many records it lost,
+// reproducing the ISM's event-dropping behaviour for slow consumers.
+// Readers do share the writer's mutex, and each holds it for at most one
+// bounded copy: a single entry, or a run of entries of at most runBytes.
 //
 // Retention is counted in records: the last capacity entries stay
 // readable. Their bytes sit back to back in one flat byte ring, found
@@ -150,46 +152,92 @@ func (b *Buffer) NewCursor() *Cursor {
 	return &Cursor{b: b, pos: pos}
 }
 
+// runBytes caps the bytes one run read copies under the buffer's mutex: a
+// few dozen small records. A run lets a reader take the lock once per few
+// dozen records instead of once per record; the cap keeps the writer,
+// which publishes under the same lock, from queueing behind a long copy.
+const runBytes = 2 << 10
+
 // Next returns the next record, blocking until one is available or the
 // buffer is closed. On EOF it returns (nil, 0, false). If the consumer was
 // lapped, lost reports how many records were skipped; the read still
 // succeeds with the oldest retained record. The record is a fresh copy.
-func (c *Cursor) Next() (rec []byte, lost uint64, ok bool) { return c.read(nil, true) }
+func (c *Cursor) Next() (rec []byte, lost uint64, ok bool) { return c.one(true) }
 
 // TryNext is the non-blocking variant of Next. ok is false when no record
 // is currently available (which does not imply EOF).
-func (c *Cursor) TryNext() (rec []byte, lost uint64, ok bool) { return c.read(nil, false) }
+func (c *Cursor) TryNext() (rec []byte, lost uint64, ok bool) { return c.one(false) }
 
-// NextInto is Next for a reader that recycles its buffer: the record is
-// copied into buf's storage (from its start, growing it if need be) and
-// returned as a slice of it, valid until the caller reuses buf.
-func (c *Cursor) NextInto(buf []byte) (rec []byte, lost uint64, ok bool) {
-	return c.read(buf[:0], true)
+// Run is a run of consecutive entries copied out of a Buffer by one
+// NextRun or TryNextRun: their bytes back to back in Data, entry i ending
+// at Ends[i] (and starting where entry i−1 ends). A reader reuses one Run
+// across reads; each read overwrites it.
+type Run struct {
+	Data []byte
+	Ends []uint32
 }
 
-// TryNextInto is the non-blocking variant of NextInto.
-func (c *Cursor) TryNextInto(buf []byte) (rec []byte, lost uint64, ok bool) {
-	return c.read(buf[:0], false)
+// NextRun copies a run of entries from the cursor onward into r, under one
+// lock, blocking until at least one is available or the buffer is closed.
+// The run holds at least one entry and then as many more as keep its bytes
+// within runBytes; an entry larger than that comes back alone. lost and ok
+// mean what they do for Next, and lost counts only records before the run.
+func (c *Cursor) NextRun(r *Run) (lost uint64, ok bool) { return c.run(r, true) }
+
+// TryNextRun is the non-blocking variant of NextRun. ok is false, and r is
+// empty, when no record is currently available.
+func (c *Cursor) TryNextRun(r *Run) (lost uint64, ok bool) { return c.run(r, false) }
+
+// one copies the entry at the cursor into a fresh slice and advances.
+func (c *Cursor) one(wait bool) (rec []byte, lost uint64, ok bool) {
+	c.b.mu.Lock()
+	defer c.b.mu.Unlock()
+	if lost, ok = c.start(wait); ok {
+		rec = c.take(nil)
+	}
+	return rec, lost, ok
 }
 
-// read copies the entry at the cursor onto dst and advances, waiting for
-// one to arrive (or for Close) when wait is set.
-func (c *Cursor) read(dst []byte, wait bool) (rec []byte, lost uint64, ok bool) {
+// run refills r with the entries from the cursor onward, up to runBytes.
+func (c *Cursor) run(r *Run, wait bool) (lost uint64, ok bool) {
 	b := c.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	r.Data, r.Ends = r.Data[:0], r.Ends[:0]
+	if lost, ok = c.start(wait); !ok {
+		return 0, false
+	}
+	for {
+		r.Data = c.take(r.Data)
+		r.Ends = append(r.Ends, uint32(len(r.Data)))
+		if c.pos == b.seq || len(r.Data)+int(b.idx[c.pos%b.cap].n) > runBytes {
+			return lost, true
+		}
+	}
+}
+
+// start waits, when wait is set, until an entry is at or past the cursor or
+// the buffer is closed, and moves a lapped cursor up to the oldest retained
+// entry. ok is false when there is no entry to read. Caller holds mu.
+func (c *Cursor) start(wait bool) (lost uint64, ok bool) {
+	b := c.b
 	for wait && c.pos == b.seq && !b.done {
 		b.cond.Wait()
 	}
 	if c.pos == b.seq {
-		return nil, 0, false
+		return 0, false
 	}
 	if b.seq-c.pos > b.cap {
 		lost = b.seq - b.cap - c.pos
 		c.pos = b.seq - b.cap
 	}
-	e := b.idx[c.pos%b.cap]
-	rec = b.get(dst, e.off, int(e.n))
+	return lost, true
+}
+
+// take appends the entry at the cursor onto dst and advances. Caller
+// holds mu, and start has reported an entry.
+func (c *Cursor) take(dst []byte) []byte {
+	e := c.b.idx[c.pos%c.b.cap]
 	c.pos++
-	return rec, lost, true
+	return c.b.get(dst, e.off, int(e.n))
 }

@@ -169,12 +169,12 @@ func entry(i int) []byte {
 // wraps and growths with entries of unequal sizes: a reader that keeps up
 // sees every entry intact, a lapped reader loses exactly the entries that
 // fell out of retention and resumes at the oldest retained one, and a
-// reader that recycles its buffer sees what a copying reader sees.
+// reader that recycles one Run sees what a copying reader sees.
 func TestBufferLappingWithMixedEntrySizes(t *testing.T) {
 	const capacity, total = 16, 5000
 	b := NewBuffer(capacity)
 	live, lapped, recycling := b.NewCursor(), b.NewCursor(), b.NewCursor()
-	var scratch []byte
+	var run Run
 	for i := 0; i < total; i++ {
 		if i%64 < 3 {
 			b.PublishBatch([][]byte{entry(i)})
@@ -185,11 +185,10 @@ func TestBufferLappingWithMixedEntrySizes(t *testing.T) {
 		if !ok || lost != 0 || !bytes.Equal(got, entry(i)) {
 			t.Fatalf("entry %d: live reader got %d bytes of %#x, lost %d, ok %v", i, len(got), got[:1], lost, ok)
 		}
-		into, lost, ok := recycling.TryNextInto(scratch)
-		if !ok || lost != 0 || !bytes.Equal(into, got) {
-			t.Fatalf("entry %d: recycling reader disagrees (lost %d, ok %v)", i, lost, ok)
+		lost, ok = recycling.TryNextRun(&run)
+		if !ok || lost != 0 || len(run.Ends) != 1 || !bytes.Equal(run.Data, got) {
+			t.Fatalf("entry %d: recycling reader disagrees (lost %d, ok %v, %d entries)", i, lost, ok, len(run.Ends))
 		}
-		scratch = into
 		// The lapped reader wakes up every 100 entries.
 		if i%100 != 99 {
 			continue

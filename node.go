@@ -140,13 +140,21 @@ func (n *Node) Close() error { return n.ext.Close() }
 
 // Consumer iterates the manager's sorted output stream.
 //
+// It reads the memory buffer a run at a time: one lock copies a few dozen
+// entries (up to 2 KiB) into storage the consumer reuses, and Next and
+// TryNext decode from that run, reading the buffer again only when it is
+// used up. An entry already in the run can no longer be lapped, so Lost
+// counts exactly the records the buffer dropped before this consumer
+// copied them.
+//
 // Every record it returns owns its Fields: a later Next or TryNext never
 // writes them, and appending to them reallocates. The consumer cuts them
 // out of 512-value (16 KiB) chunks it allocates as it goes and never
 // reuses, so a record kept alive keeps at most its whole chunk alive.
 type Consumer struct {
 	cur   *shm.Cursor
-	raw   []byte         // the entry being decoded, recycled across reads
+	run   shm.Run        // entries copied out of the buffer, recycled across reads
+	at    int            // index in run.Ends of the next entry to decode
 	chunk []record.Value // the unused tail of the current Fields chunk
 	// Lost accumulates records skipped because this consumer fell behind
 	// the memory buffer (the manager's event dropping for slow readers).
@@ -159,23 +167,32 @@ const consumerChunk = 512
 
 // Next blocks for the next record; ok is false once the manager has
 // closed and the stream is drained.
-func (c *Consumer) Next() (Record, bool) { return c.next(c.cur.NextInto) }
+func (c *Consumer) Next() (Record, bool) { return c.next(c.cur.NextRun) }
 
 // TryNext is the non-blocking variant; ok is false when no record is
 // currently available.
-func (c *Consumer) TryNext() (Record, bool) { return c.next(c.cur.TryNextInto) }
+func (c *Consumer) TryNext() (Record, bool) { return c.next(c.cur.TryNextRun) }
 
-// next reads entries into the consumer's own buffer until one decodes
-// (the decoded record copies what it keeps, so the buffer is free again).
-// The record's fields land in the chunk's tail, which then gives them up.
-func (c *Consumer) next(read func([]byte) ([]byte, uint64, bool)) (rec Record, ok bool) {
+// next returns the run's next entry that decodes, refilling the run from
+// the buffer whenever it is used up (the decoded record copies what it
+// keeps, so the run is free to be overwritten). The record's fields land in the
+// chunk's tail, which then gives them up.
+func (c *Consumer) next(read func(*shm.Run) (uint64, bool)) (rec Record, ok bool) {
 	for {
-		raw, lost, ok := read(c.raw)
-		c.Lost += lost
-		if !ok {
-			return Record{}, false
+		if c.at == len(c.run.Ends) {
+			lost, ok := read(&c.run)
+			c.Lost += lost
+			c.at = 0
+			if !ok {
+				return Record{}, false
+			}
 		}
-		c.raw = raw
+		var from uint32
+		if c.at > 0 {
+			from = c.run.Ends[c.at-1]
+		}
+		raw := c.run.Data[from:c.run.Ends[c.at]]
+		c.at++
 		if len(c.chunk) < record.MaxFields {
 			c.chunk = make([]record.Value, consumerChunk)
 		}
