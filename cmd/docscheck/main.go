@@ -19,14 +19,17 @@
 // verify skill write down — `cmd/ism -T 2000` in a code block, a
 // built `bin/exs -rate 0`, TUNING's `cmd/relay -batch/-flush` —
 // against the flag.X("name", …) calls in that daemon's source, so a
-// deleted flag cannot linger in a documented run.
+// deleted flag cannot linger in a documented run. Likewise every
+// `briskbench <sub>` run in the core documents' code, the Makefile and
+// the CI workflow must name a case of cmd/briskbench's main switch, so
+// a deleted subcommand cannot either.
 //
 // Usage:
 //
 //	docscheck [root]
 //
-// Exits non-zero listing every broken link, stale option row and
-// undefined flag. Run via `make docs-check`.
+// Exits non-zero listing every broken link, stale option row, undefined
+// flag and unknown subcommand. Run via `make docs-check`.
 package main
 
 import (
@@ -82,6 +85,16 @@ var daemons = map[string]bool{"ism": true, "exs": true, "relay": true}
 // invocations are checked.
 var flagDocs = []string{".claude/skills/verify/SKILL.md"}
 
+// benchRunFiles are the files, besides requiredDocs, whose briskbench
+// runs are checked; only their non-comment text counts.
+var benchRunFiles = []string{"Makefile", ".github/workflows/ci.yml"}
+
+// benchRunRE matches a briskbench run, capturing its subcommand.
+var benchRunRE = regexp.MustCompile(`briskbench\s+([a-z][a-z0-9]*)`)
+
+// commentRE matches a shell, make or YAML comment to the end of a line.
+var commentRE = regexp.MustCompile(`(?:^|\s)#.*`)
+
 // segmentRE splits a line where a command's arguments end: a code-span
 // edge, a table cell, a shell separator or a comment.
 var segmentRE = regexp.MustCompile("`|\\||;|&&|(?:^|\\s)#")
@@ -131,15 +144,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(1)
 	}
-	for _, s := range append(stale, undefined...) {
-		fmt.Fprintf(os.Stderr, "docscheck: %s\n", s)
-	}
-	if broken > 0 || len(stale) > 0 || len(undefined) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), %d stale option row(s), %d undefined flag(s)\n",
-			broken, len(stale), len(undefined))
+	unknown, err := checkBenchRuns(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all Markdown links resolve, every option row names a field and every documented flag exists")
+	for _, s := range slices.Concat(stale, undefined, unknown) {
+		fmt.Fprintf(os.Stderr, "docscheck: %s\n", s)
+	}
+	if broken > 0 || len(stale) > 0 || len(undefined) > 0 || len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), %d stale option row(s), %d undefined flag(s), %d unknown subcommand(s)\n",
+			broken, len(stale), len(undefined), len(unknown))
+		os.Exit(1)
+	}
+	fmt.Println("docscheck: all Markdown links resolve, every option row names a field and every documented flag and subcommand exists")
 }
 
 // checkFile verifies every relative link in one Markdown file, printing
@@ -243,20 +261,12 @@ func checkOptionTables(root string) ([]string, error) {
 // structFields parses the non-test Go files of the package in dir and
 // returns each struct type's field names.
 func structFields(dir string) (map[string]map[string]bool, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	files, err := parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	structs := make(map[string]map[string]bool)
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -348,22 +358,14 @@ func invocationFlags(line string) [][2]string {
 // directory and returns the flag names its flag.X("name", …) and
 // flag.XVar(&v, "name", …) calls define.
 func daemonFlags(root string) (map[string]map[string]bool, error) {
-	fset := token.NewFileSet()
 	defined := make(map[string]map[string]bool)
 	for tool := range daemons {
-		paths, err := filepath.Glob(filepath.Join(root, "cmd", tool, "*.go"))
+		files, err := parseDir(filepath.Join(root, "cmd", tool))
 		if err != nil {
 			return nil, err
 		}
 		names := make(map[string]bool)
-		for _, path := range paths {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
+		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -393,4 +395,92 @@ func daemonFlags(root string) (map[string]map[string]bool, error) {
 		defined[tool] = names
 	}
 	return defined, nil
+}
+
+// checkBenchRuns returns one message per briskbench run whose
+// subcommand cmd/briskbench's main switch has no case for. In Markdown
+// only code spans and fenced blocks are read, so prose about the
+// command is not a run; in benchRunFiles, everything but comments.
+func checkBenchRuns(root string) ([]string, error) {
+	files, err := parseDir(filepath.Join(root, "cmd", "briskbench"))
+	if err != nil {
+		return nil, err
+	}
+	subs := make(map[string]bool)
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Name.Name != "main" {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				cc, ok := n.(*ast.CaseClause)
+				if !ok {
+					return true
+				}
+				for _, e := range cc.List {
+					if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil {
+							subs[name] = true
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	var unknown []string
+	for _, doc := range slices.Concat(requiredDocs, benchRunFiles) {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if os.IsNotExist(err) {
+			continue
+		} else if err != nil {
+			return nil, err
+		}
+		markdown, fenced := strings.HasSuffix(doc, ".md"), false
+		for i, line := range strings.Split(string(data), "\n") {
+			code := []string{line}
+			if markdown {
+				if strings.HasPrefix(strings.TrimSpace(line), "```") {
+					fenced = !fenced
+					continue
+				}
+				if !fenced {
+					code = code[:0]
+					for _, m := range codeRE.FindAllStringSubmatch(line, -1) {
+						code = append(code, m[1])
+					}
+				}
+			}
+			for _, c := range code {
+				for _, m := range benchRunRE.FindAllStringSubmatch(commentRE.ReplaceAllString(c, ""), -1) {
+					if !subs[m[1]] {
+						unknown = append(unknown, fmt.Sprintf("%s:%d: cmd/briskbench has no subcommand %s", doc, i+1, m[1]))
+					}
+				}
+			}
+		}
+	}
+	return unknown, nil
+}
+
+// parseDir parses the non-test Go files of the package in dir.
+func parseDir(dir string) ([]*ast.File, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }

@@ -115,3 +115,79 @@ func TestRepoFlagMentions(t *testing.T) {
 		t.Fatalf("documented runs pass flags the daemons no longer define:\n%s", strings.Join(undefined, "\n"))
 	}
 }
+
+// fixtureBenchMain's main switch has two subcommands; the helper's
+// switch is not main's and does not count.
+const fixtureBenchMain = `package main
+
+import "os"
+
+func main() {
+	switch os.Args[1] {
+	case "notice", "all":
+	default:
+		os.Exit(2)
+	}
+}
+
+func helper(s string) {
+	switch s {
+	case "ingest":
+	}
+}
+`
+
+// fixtureBenchReadme runs briskbench from a fenced block (with a
+// comment), from code spans, and names it in prose that is no run.
+const fixtureBenchReadme = "```bash\n" +
+	"go run ./cmd/briskbench all   # briskbench comment is no run\n" +
+	"go run ./cmd/briskbench ingest -sessions 8\n" +
+	"```\n" +
+	"`briskbench notice` and `cmd/briskbench sorter -cores heap` tables;\n" +
+	"cmd/briskbench prints one table per experiment.\n"
+
+// fixtureBenchMakefile runs a deleted subcommand and mentions one in a
+// comment.
+const fixtureBenchMakefile = "# briskbench benchgate used to run here\n" +
+	"eval:\n\t$(GO) run ./cmd/briskbench benchgate -baseline x.json\n"
+
+func TestCheckBenchRuns(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"cmd/briskbench/main.go": fixtureBenchMain,
+		"README.md":              fixtureBenchReadme,
+		"Makefile":               fixtureBenchMakefile,
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unknown, err := checkBenchRuns(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"README.md:3: cmd/briskbench has no subcommand ingest",
+		"README.md:5: cmd/briskbench has no subcommand sorter",
+		"Makefile:3: cmd/briskbench has no subcommand benchgate",
+	}
+	if strings.Join(unknown, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("unknown subcommands:\n%s\nwant:\n%s", strings.Join(unknown, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRepoBenchRuns runs the subcommand check on the repository itself.
+func TestRepoBenchRuns(t *testing.T) {
+	unknown, err := checkBenchRuns(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unknown) > 0 {
+		t.Fatalf("documented runs name subcommands cmd/briskbench no longer has:\n%s", strings.Join(unknown, "\n"))
+	}
+}

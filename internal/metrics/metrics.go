@@ -162,8 +162,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a concurrency-safe logarithmic histogram of non-negative
 // integer observations (µs, bytes, …): bucket i covers [2^i, 2^(i+1))
-// with bucket 0 covering [0, 2) — the same bucket layout as stats.Hist,
-// whose math it reuses.
+// with bucket 0 covering [0, 2), as laid out by stats.LogBucketIndex.
 type Histogram struct {
 	buckets [stats.LogBuckets]atomic.Uint64
 	count   atomic.Uint64

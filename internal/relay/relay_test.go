@@ -221,7 +221,15 @@ func TestRelayForwardsAndRebases(t *testing.T) {
 			t.Fatalf("node %d: last seq %d, want %d", node, last, perLeaf-1)
 		}
 	}
+	// The uplink counts a batch as shipped after its socket write
+	// returns, so the root can merge the last batch before the count
+	// lands: wait for the counters to settle, then check them exactly.
+	deadline := time.Now().Add(10 * time.Second)
 	st := rl.Stats()
+	for (st.Forwarded < 2*perLeaf || st.Shipped < 2*perLeaf) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = rl.Stats()
+	}
 	if st.Forwarded != 2*perLeaf || st.Shipped != 2*perLeaf || st.Dropped != 0 {
 		t.Fatalf("relay stats forwarded=%d shipped=%d dropped=%d, want %d/%d/0",
 			st.Forwarded, st.Shipped, st.Dropped, 2*perLeaf, 2*perLeaf)

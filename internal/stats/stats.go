@@ -1,13 +1,13 @@
 // Package stats provides the small statistics toolkit used by BRISK's
 // evaluation harness and runtime counters: streaming moments, bounded
-// reservoirs with percentiles, and logarithmic latency histograms.
+// reservoirs with percentiles, and the bucket math of logarithmic
+// histograms.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Running accumulates streaming count/mean/variance/min/max using
@@ -179,52 +179,4 @@ func LogBucketQuantile(buckets []uint64, n uint64, q float64) float64 {
 		}
 	}
 	return LogBucketUpper(LogBuckets - 1)
-}
-
-// Hist is a logarithmic histogram for non-negative microsecond latencies:
-// bucket i covers [2^i, 2^(i+1)) µs, with bucket 0 covering [0, 2).
-type Hist struct {
-	buckets [LogBuckets]uint64
-	n       uint64
-	sum     float64
-}
-
-// Add records one non-negative observation; negative values clamp to 0.
-func (h *Hist) Add(v float64) {
-	if v < 0 {
-		v = 0
-	}
-	h.n++
-	h.sum += v
-	h.buckets[LogBucketIndex(v)]++
-}
-
-// N returns the observation count.
-func (h *Hist) N() uint64 { return h.n }
-
-// Mean returns the mean of all observations.
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns an upper bound on the q-th quantile using bucket upper
-// edges.
-func (h *Hist) Quantile(q float64) float64 {
-	return LogBucketQuantile(h.buckets[:], h.n, q)
-}
-
-// String renders the non-empty buckets.
-func (h *Hist) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.1f", h.n, h.Mean())
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, " [<%d]=%d", uint64(1)<<uint(i+1), c)
-	}
-	return b.String()
 }

@@ -132,52 +132,57 @@ func TestReservoirMinCapacity(t *testing.T) {
 	}
 }
 
-func TestHist(t *testing.T) {
-	var h Hist
+// buckets spreads observations over logarithmic buckets as a histogram
+// built on this package's bucket math does.
+func buckets(vs ...float64) []uint64 {
+	b := make([]uint64, LogBuckets)
+	for _, v := range vs {
+		b[LogBucketIndex(v)]++
+	}
+	return b
+}
+
+func TestLogBucketIndex(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{{-5, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 1}, {1000, 9}, {1024, 10}, {math.MaxFloat64, LogBuckets - 1}} {
+		if got := LogBucketIndex(c.v); got != c.want {
+			t.Errorf("LogBucketIndex(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
+func TestLogBucketQuantile(t *testing.T) {
+	vs := make([]float64, 0, 101)
 	for i := 0; i < 100; i++ {
-		h.Add(1) // bucket [0,2)
+		vs = append(vs, 1) // bucket [0,2)
 	}
-	h.Add(1000) // bucket [512,1024) upper edge 1024
-	if h.N() != 101 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if q := h.Quantile(0.5); q != 2 {
+	vs = append(vs, 1000) // bucket [512,1024) upper edge 1024
+	b := buckets(vs...)
+	if q := LogBucketQuantile(b, 101, 0.5); q != 2 {
 		t.Fatalf("q50 = %v, want 2", q)
 	}
-	if q := h.Quantile(1.0); q != 1024 {
+	if q := LogBucketQuantile(b, 101, 1.0); q != 1024 {
 		t.Fatalf("q100 = %v, want 1024", q)
 	}
-	if math.Abs(h.Mean()-(100+1000)/101.0) > 1e-9 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if !strings.Contains(h.String(), "n=101") {
-		t.Errorf("String() = %q", h.String())
+}
+
+func TestLogBucketQuantileEmpty(t *testing.T) {
+	if q := LogBucketQuantile(buckets(), 0, 0.9); q != 0 {
+		t.Fatalf("empty q90 = %v, want 0", q)
 	}
 }
 
-func TestHistNegativeClamp(t *testing.T) {
-	var h Hist
-	h.Add(-5)
-	if h.Quantile(1.0) != 2 {
-		t.Fatal("negative value should land in the first bucket")
-	}
-}
-
-func TestHistEmptyQuantile(t *testing.T) {
-	var h Hist
-	if h.Quantile(0.9) != 0 || h.Mean() != 0 {
-		t.Fatal("empty hist should report zeros")
-	}
-}
-
-func TestHistQuantileMonotone(t *testing.T) {
-	var h Hist
+func TestLogBucketQuantileMonotone(t *testing.T) {
+	vs := make([]float64, 0, 1000)
 	for i := 0; i < 1000; i++ {
-		h.Add(float64(i * 37 % 5000))
+		vs = append(vs, float64(i*37%5000))
 	}
+	b := buckets(vs...)
 	prev := 0.0
 	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := h.Quantile(q)
+		v := LogBucketQuantile(b, uint64(len(vs)), q)
 		if v < prev {
 			t.Fatalf("quantile not monotone at %v: %v < %v", q, v, prev)
 		}
